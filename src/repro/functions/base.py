@@ -26,7 +26,7 @@ from ..errors import ConfigError
 from ..obs import profile as profile_mod
 from ..trace import cache as trace_cache
 from ..trace.allocator import GuestAllocator
-from ..trace.events import AccessEpoch, InvocationTrace
+from ..trace.events import InvocationTrace, int32_column
 from ..trace.synth import Band, banded_histogram
 
 __all__ = ["InputSpec", "FunctionModel", "INPUT_LABELS"]
@@ -210,10 +210,11 @@ class FunctionModel:
         scale = float(rng.lognormal(mean=0.0, sigma=spec.variability)) if spec.variability else 1.0
         cpu_time = spec.t_dram_s * (1.0 - spec.stall_share) * scale
 
-        epochs = self._split_epochs(pages, counts, cpu_time, rng)
-        return InvocationTrace(
-            n_pages=self.n_pages,
-            epochs=epochs,
+        return self._split_epochs(
+            pages,
+            counts,
+            cpu_time,
+            rng,
             label=f"{self.name}/input-{INPUT_LABELS[input_index]}",
         )
 
@@ -223,19 +224,25 @@ class FunctionModel:
         counts: np.ndarray,
         cpu_time: float,
         rng: np.random.Generator,
-    ) -> tuple[AccessEpoch, ...]:
+        *,
+        label: str,
+    ) -> InvocationTrace:
         """Distribute the invocation histogram over time slices.
 
         Counts are binomially thinned epoch by epoch so the per-epoch
         histograms sum exactly to the invocation histogram.  Epoch weights
         are near-even with mild noise — enough temporal texture for DAMON's
-        aggregation windows without imposing artificial phases.
+        aggregation windows without imposing artificial phases.  Each
+        slice is written straight into the trace's int32 CSR columns.
         """
         n = self.n_epochs
         weights = rng.dirichlet(np.full(n, 20.0)) if n > 1 else np.ones(1)
+        pages32 = int32_column(pages, "page indices")
         remaining = counts.copy()
         remaining_weight = 1.0
-        epochs: list[AccessEpoch] = []
+        page_parts: list[np.ndarray] = []
+        count_parts: list[np.ndarray] = []
+        ptr = np.zeros(n + 1, dtype=np.int64)
         for e in range(n):
             if e == n - 1:
                 take = remaining
@@ -244,15 +251,18 @@ class FunctionModel:
                 take = rng.binomial(remaining, p)
                 remaining_weight -= weights[e]
             nz = take > 0
-            epochs.append(
-                AccessEpoch(
-                    cpu_time_s=cpu_time * float(weights[e]),
-                    pages=pages[nz],
-                    counts=take[nz],
-                    random_fraction=self.random_fraction,
-                    store_fraction=self.store_fraction,
-                )
-            )
+            page_parts.append(pages32[nz])
+            count_parts.append(int32_column(take[nz], "access counts"))
+            ptr[e + 1] = ptr[e] + page_parts[-1].size
             if e < n - 1:
                 remaining = remaining - take
-        return tuple(epochs)
+        return InvocationTrace.from_columns(
+            self.n_pages,
+            pages=np.concatenate(page_parts),
+            counts=np.concatenate(count_parts),
+            ptr=ptr,
+            cpu_time_s=cpu_time * weights,
+            random_fraction=np.full(n, self.random_fraction),
+            store_fraction=np.full(n, self.store_fraction),
+            label=label,
+        )

@@ -53,16 +53,20 @@ class MultiTierVM:
         if trace.n_pages != self.n_pages:
             raise VMError("trace and VM cover different guests")
         total = 0.0
-        for epoch in trace.epochs:
+        # One gather over the trace's page column, sliced per epoch.
+        tiers_all = self.placement[trace.pages.astype(np.intp)]
+        bounds = trace.ptr.tolist()
+        for e, epoch in enumerate(trace.epochs):
             total += epoch.cpu_time_s
             if epoch.pages.size == 0:
                 continue
             lat = self.ladder.access_latencies(
                 epoch.random_fraction, epoch.store_fraction
             )
-            tiers = self.placement[epoch.pages]
             per_tier = np.bincount(
-                tiers, weights=epoch.counts, minlength=self.ladder.n_tiers
+                tiers_all[bounds[e]:bounds[e + 1]],
+                weights=epoch.counts,
+                minlength=self.ladder.n_tiers,
             )
             total += float((per_tier * lat).sum())
         return total

@@ -59,16 +59,19 @@ def heap_drain_order(
 
 
 def segment_sums_int(
-    values: npt.NDArray[np.int64], ptr: npt.NDArray[np.int64]
+    values: npt.NDArray[np.int32] | npt.NDArray[np.int64],
+    ptr: npt.NDArray[np.int64],
 ) -> npt.NDArray[np.int64]:
-    """Per-segment sums of an int64 array (exact, empty segments ok).
+    """Per-segment int64 sums of an integer array (exact, empty segments ok).
 
     ``ptr`` holds the segment boundaries (length ``n_segments + 1``).
     Integer addition is associative and exact, so the cumulative-sum
-    difference equals the per-segment loop regardless of order.
+    difference equals the per-segment loop regardless of order.  The sum
+    accumulates in int64 whatever the input width, so int32 trace counts
+    cannot overflow.
     """
     cum = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(values, out=cum[1:])
+    np.cumsum(values, dtype=np.int64, out=cum[1:])
     out: npt.NDArray[np.int64] = cum[ptr[1:]] - cum[ptr[:-1]]
     return out
 

@@ -31,7 +31,6 @@ back to the scalar engine when it returns ``False``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -52,84 +51,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["cohort_eligible", "execute_cohort"]
 
-_FLAT_ATTR = "_batch_flat"
 _N_BACKINGS = 6
 
 
-@dataclass(frozen=True)
-class _TraceFlat:
-    """One trace's epochs flattened into parallel columns (cached).
-
-    ``first_pages``/``first_epoch`` locate each distinct page's first
-    occurrence: the scalar engine's sticky residency means a page can
-    fault only there, and only if its backing is not already resident.
-    ``tot_counts`` is the per-epoch total access count (exact int sum,
-    placement-independent, so it is computed once per trace).
-    """
-
-    pages: npt.NDArray[np.int64]
-    counts: npt.NDArray[np.int64]
-    epoch_sizes: npt.NDArray[np.int64]
-    first_pages: npt.NDArray[np.int64]
-    first_epoch: npt.NDArray[np.int64]
-    tot_counts: npt.NDArray[np.int64]
-    cpu: npt.NDArray[np.float64]
-    rf: npt.NDArray[np.float64]
-    sf: npt.NDArray[np.float64]
-
-
-def _flat(trace: "InvocationTrace") -> _TraceFlat:
-    """Flatten (and memoize on the immutable trace) the epoch columns."""
-    cached = trace.__dict__.get(_FLAT_ATTR)
-    if cached is not None:
-        return cached  # type: ignore[no-any-return]
-    epochs = trace.epochs
-    n = len(epochs)
-    if n:
-        pages = np.concatenate([e.pages for e in epochs])
-        counts = np.concatenate([e.counts for e in epochs])
-        sizes = np.fromiter(
-            (e.pages.size for e in epochs), dtype=np.int64, count=n
-        )
-    else:  # pragma: no cover - traces always have epochs
-        pages = np.empty(0, dtype=np.int64)
-        counts = np.empty(0, dtype=np.int64)
-        sizes = np.empty(0, dtype=np.int64)
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    if pages.size:
-        _, first_idx = np.unique(pages, return_index=True)
-        first_pages = pages[first_idx]
-        first_epoch = np.searchsorted(ptr, first_idx, side="right") - 1
-    else:
-        first_pages = np.empty(0, dtype=np.int64)
-        first_epoch = np.empty(0, dtype=np.int64)
-    flat = _TraceFlat(
-        pages=pages,
-        counts=counts,
-        epoch_sizes=sizes,
-        first_pages=first_pages,
-        first_epoch=first_epoch,
-        tot_counts=segment_sums_int(counts, ptr),
-        cpu=np.fromiter((e.cpu_time_s for e in epochs), dtype=np.float64, count=n),
-        rf=np.fromiter(
-            (e.random_fraction for e in epochs), dtype=np.float64, count=n
-        ),
-        sf=np.fromiter(
-            (e.store_fraction for e in epochs), dtype=np.float64, count=n
-        ),
-    )
-    object.__setattr__(trace, _FLAT_ATTR, flat)
-    return flat
-
-
 def _segment_sums_nonempty(
-    values: npt.NDArray[np.int64], ptr: npt.NDArray[np.int64]
+    values: npt.NDArray[np.int32], ptr: npt.NDArray[np.int64]
 ) -> npt.NDArray[np.int64]:
-    """Per-segment int sums via ``reduceat`` over non-empty segments.
+    """Per-segment int64 sums via ``reduceat`` over non-empty segments.
 
     Integer addition is associative and exact, so ``reduceat``'s pairwise
-    accumulation matches the sequential loop.  ``reduceat`` mishandles
+    accumulation matches the sequential loop; it accumulates in int64, so
+    int32 counts cannot overflow.  ``reduceat`` mishandles
     zero-length segments, so only non-empty starts are passed: each such
     segment then runs to the next non-empty start, which coincides with
     the true segment end because the skipped segments contribute no
@@ -139,7 +71,9 @@ def _segment_sums_nonempty(
     starts = ptr[:-1]
     nonempty = starts < ptr[1:]
     if values.size and nonempty.any():
-        out[nonempty] = np.add.reduceat(values, starts[nonempty])
+        out[nonempty] = np.add.reduceat(
+            values, starts[nonempty], dtype=np.int64
+        )
     return out
 
 
@@ -198,24 +132,26 @@ def _execute_cohort(
                 f"trace for {trace.n_pages}-page guest executed on "
                 f"{vm.n_pages}-page VM"
             )
-    flats = [_flat(t) for t in traces]
     fast = vm.memory.spec(Tier.FAST)
     slow = vm.memory.spec(Tier.SLOW)
 
     # -- cohort-flat columns and their segmentations ------------------------
-    epoch_sizes = np.concatenate([f.epoch_sizes for f in flats])
-    page_ptr = np.zeros(epoch_sizes.size + 1, dtype=np.int64)
-    np.cumsum(epoch_sizes, out=page_ptr[1:])
+    # Each trace already is one CSR layout; the cohort's epochs are those
+    # layouts back to back.
     n_epochs = np.fromiter(
-        (f.epoch_sizes.size for f in flats), dtype=np.int64, count=len(flats)
+        (t.n_epochs for t in traces), dtype=np.int64, count=len(traces)
     )
-    inv_ptr = np.zeros(len(flats) + 1, dtype=np.int64)
+    inv_ptr = np.zeros(len(traces) + 1, dtype=np.int64)
     np.cumsum(n_epochs, out=inv_ptr[1:])
     total_epochs = int(inv_ptr[-1])
-    cpu_col = np.concatenate([f.cpu for f in flats])
-    rf_col = np.concatenate([f.rf for f in flats])
-    sf_col = np.concatenate([f.sf for f in flats])
-    tot_col = np.concatenate([f.tot_counts for f in flats])
+    page_ptr = np.zeros(total_epochs + 1, dtype=np.int64)
+    np.cumsum(
+        np.concatenate([np.diff(t.ptr) for t in traces]), out=page_ptr[1:]
+    )
+    cpu_col = np.concatenate([t.epoch_cpu_time_s for t in traces])
+    rf_col = np.concatenate([t.epoch_random_fraction for t in traces])
+    sf_col = np.concatenate([t.epoch_store_fraction for t in traces])
+    tot_col = np.concatenate([t.epoch_totals for t in traces])
 
     # -- fault classification (first touch of a non-resident page) ---------
     # Only first occurrences can fault, so the cohort's fault census is a
@@ -223,11 +159,13 @@ def _execute_cohort(
     # fully resident template (warm restores) faults nowhere, so the
     # census short-circuits to exact zeros.
     if vm.backing.any():
-        fp_pages = np.concatenate([f.first_pages for f in flats])
+        touches = [t.first_touch for t in traces]
         fp_epoch = np.concatenate(
-            [f.first_epoch + base for f, base in zip(flats, inv_ptr[:-1])]
+            [ft[1] + base for ft, base in zip(touches, inv_ptr[:-1].tolist())]
         )
-        fp_kinds = vm.backing[fp_pages].astype(np.int64)
+        fp_kinds = np.concatenate(
+            [vm.backing[ft[0].astype(np.intp)] for ft in touches]
+        ).astype(np.int64)
         faulted = fp_kinds != int(Backing.RESIDENT)
         if np.any(fp_kinds[faulted] == int(Backing.SSD_FILE)):
             raise VMError("batch execution cannot model the host page cache")
@@ -244,16 +182,19 @@ def _execute_cohort(
             total_epochs, dtype=np.int64
         )
 
-    # -- per-epoch access tallies (exact integer arithmetic) ----------------
+    # -- per-epoch access tallies (exact int64 arithmetic) ------------------
     # An all-fast placement (DRAM/REAP templates) makes every slow-tier
     # tally an exact zero without touching the page-level columns — the
-    # dominant data volume for large cohorts.
+    # dominant data volume for large cohorts.  Tiers are gathered trace by
+    # trace with intp indices (numpy's fast gather path; int32 indices
+    # take a slower casting path) without an 8-byte copy of the whole
+    # cohort's pages.
     if vm.placement.any():
-        pages_all = np.concatenate([f.pages for f in flats])
-        counts_all = np.concatenate([f.counts for f in flats])
-        slow_counts = np.where(
-            vm.placement[pages_all] == int(Tier.SLOW), counts_all, 0
+        tiers_all = np.concatenate(
+            [vm.placement[t.pages.astype(np.intp)] for t in traces]
         )
+        counts_all = np.concatenate([t.counts for t in traces])
+        slow_counts = np.where(tiers_all == int(Tier.SLOW), counts_all, 0)
         n_slow = _segment_sums_nonempty(slow_counts, page_ptr)
         n_fast = tot_col - n_slow
     else:

@@ -8,15 +8,19 @@ over and over: Figure 9 replays one seed range through four systems
 is recomputation.  Traces are immutable, so handing the same object to
 every system is safe and their ``cached_property`` views are shared too.
 
-The cache is bounded by *bytes*, not entries: one pyaes trace is ~180 KB
+The cache is bounded by *bytes*, not entries: one pyaes trace is ~8 KB
 while a video-processing trace is tens of MB, so an entry-count bound
-would either thrash on big traces or hoard memory on small ones.  At the
+would either thrash on big traces or hoard memory on small ones.  Each
+entry is charged the bytes its trace really retains
+(:attr:`~repro.trace.events.InvocationTrace.nbytes`): the CSR columns at
+admission, plus every derived view (histogram, first-touch columns,
+per-epoch totals) when a consumer builds it later — the cache watches
+its traces for that growth and evicts to stay within budget.  At the
 default 1.5 GB budget both a full C=1000 seed range of the Figure 9
-function *and* the fleet study's full profiling working set (~0.9 GB
-across the Table I + extended suites) fit, which turns repeated
-preparation passes into one synthesis pass each.  The old 256 MB default
-thrashed at fleet scale: 334 synthesis misses per ``fleet_study`` run
-with an ~8 % hit rate.
+function *and* the fleet study's full profiling working set fit, which
+turns repeated preparation passes into one synthesis pass each.  The old
+256 MB default thrashed at fleet scale: 334 synthesis misses per
+``fleet_study`` run with an ~8 % hit rate.
 """
 
 from __future__ import annotations
@@ -34,11 +38,6 @@ __all__ = ["TraceCache", "shared_trace_cache"]
 DEFAULT_BUDGET_BYTES = 1536 * 1024 * 1024
 
 
-def _trace_nbytes(trace: "InvocationTrace") -> int:
-    """Approximate retained size: the epoch arrays dominate."""
-    return sum(e.pages.nbytes + e.counts.nbytes for e in trace.epochs) or 1
-
-
 class TraceCache:
     """LRU over synthesised traces, evicting by total retained bytes."""
 
@@ -46,9 +45,7 @@ class TraceCache:
         if budget_bytes < 0:
             raise ConfigError("trace-cache budget must be non-negative")
         self.budget_bytes = int(budget_bytes)
-        self._entries: OrderedDict[Hashable, tuple["InvocationTrace", int]] = (
-            OrderedDict()
-        )
+        self._entries: OrderedDict[Hashable, "InvocationTrace"] = OrderedDict()
         self._bytes = 0
         self.hits = 0
         self.misses = 0
@@ -59,18 +56,18 @@ class TraceCache:
 
     @property
     def used_bytes(self) -> int:
-        """Bytes currently retained by cached traces."""
+        """Bytes currently retained by cached traces, views included."""
         return self._bytes
 
     def get(self, key: Hashable) -> "InvocationTrace | None":
         """Look up a trace, refreshing its recency on a hit."""
-        entry = self._entries.get(key)
-        if entry is None:
+        trace = self._entries.get(key)
+        if trace is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return entry[0]
+        return trace
 
     def put(self, key: Hashable, trace: "InvocationTrace") -> None:
         """Insert a trace, evicting least-recently-used entries to fit.
@@ -79,23 +76,40 @@ class TraceCache:
         admitting it would evict everything for a single entry that can
         never be amortised.
         """
-        size = _trace_nbytes(trace)
+        size = trace.nbytes
         if size > self.budget_bytes:
             return
         old = self._entries.pop(key, None)
         if old is not None:
-            self._bytes -= old[1]
-        while self._bytes + size > self.budget_bytes and self._entries:
-            _, (_, evicted_size) = self._entries.popitem(last=False)
-            self._bytes -= evicted_size
-            self.evictions += 1
-        self._entries[key] = (trace, size)
+            self._release(old)
+        self._evict_until(self.budget_bytes - size)
+        self._entries[key] = trace
+        # One listener per entry: a trace cached under two keys is charged
+        # (and grows) twice.
+        trace.watch_growth(self._grown)
         self._bytes += size
 
     def clear(self) -> None:
         """Drop every cached trace (counters survive)."""
-        self._entries.clear()
-        self._bytes = 0
+        while self._entries:
+            _, trace = self._entries.popitem()
+            self._release(trace)
+
+    def _release(self, trace: "InvocationTrace") -> None:
+        """Stop charging one entry holding ``trace``."""
+        self._bytes -= trace.nbytes
+        trace.unwatch_growth(self._grown)
+
+    def _evict_until(self, limit: int) -> None:
+        while self._bytes > limit and self._entries:
+            _, trace = self._entries.popitem(last=False)
+            self._release(trace)
+            self.evictions += 1
+
+    def _grown(self, trace: "InvocationTrace", nbytes: int) -> None:
+        """A cached trace built a view: charge it, then evict to fit."""
+        self._bytes += nbytes
+        self._evict_until(self.budget_bytes)
 
 
 _SHARED = TraceCache()

@@ -191,8 +191,13 @@ class MicroVM:
         uffd_stall = 0.0
         soft_fault = 0.0  # minor + copy faults: CPU-side, never contended
 
-        for epoch in trace.epochs:
-            pages, counts = epoch.pages, epoch.counts
+        # One cast per trace: intp indices take numpy's fast gather/scatter
+        # path, int32 ones a slower casting path on every fancy index.
+        pages_ix = trace.pages.astype(np.intp)
+        bounds = trace.ptr.tolist()
+        for e, epoch in enumerate(trace.epochs):
+            pages = pages_ix[bounds[e]:bounds[e + 1]]
+            counts = epoch.counts
             duration = epoch.cpu_time_s
             counters.cpu_time_s += epoch.cpu_time_s
             if pages.size:
@@ -206,8 +211,8 @@ class MicroVM:
 
                 tiers = self.placement[pages]
                 slow_mask = tiers == int(Tier.SLOW)
-                n_slow = int(counts[slow_mask].sum())
-                n_fast = int(counts.sum()) - n_slow
+                n_slow = int(counts[slow_mask].sum(dtype=np.int64))
+                n_fast = int(counts.sum(dtype=np.int64)) - n_slow
 
                 lat_fast = fast.effective_access_latency_s(
                     epoch.random_fraction, epoch.store_fraction
@@ -235,7 +240,7 @@ class MicroVM:
                 if epoch.store_fraction > 0:
                     self.page_versions[pages] += 1
 
-            records.append(EpochRecord(duration, pages, counts))
+            records.append(EpochRecord(duration, epoch.pages, counts))
 
         demand = TierDemand(
             cpu_time_s=counters.cpu_time_s + soft_fault,
@@ -309,8 +314,13 @@ class MicroVM:
         uffd_stall = 0.0
         soft_fault = 0.0
 
-        for epoch in trace.epochs:
-            pages, counts = epoch.pages, epoch.counts
+        # One cast per trace: intp indices take numpy's fast gather/scatter
+        # path, int32 ones a slower casting path on every fancy index.
+        pages_ix = trace.pages.astype(np.intp)
+        bounds = trace.ptr.tolist()
+        for e, epoch in enumerate(trace.epochs):
+            pages = pages_ix[bounds[e]:bounds[e + 1]]
+            counts = epoch.counts
             duration = epoch.cpu_time_s
             counters.cpu_time_s += epoch.cpu_time_s
             if pages.size:
@@ -364,7 +374,7 @@ class MicroVM:
                 if epoch.store_fraction > 0:
                     self.page_versions[pages] += 1
 
-            records.append(EpochRecord(duration, pages, counts))
+            records.append(EpochRecord(duration, epoch.pages, counts))
 
         demand = TierDemand(
             cpu_time_s=counters.cpu_time_s + soft_fault,

@@ -372,3 +372,48 @@ def test_invoke_batch_bit_identical(system_kind):
     tainted = system.invoke_batch(1, seeds)
     tainted[0].execution.counters.cpu_time_s = -1.0
     _assert_outcomes_identical(scalar, system.invoke_batch(1, seeds))
+
+
+def test_cohort_counters_exact_past_int32():
+    """int32 trace counts: every tally accumulates in int64, so a cohort
+    whose accesses exceed 2**31 matches the scalar engine exactly."""
+    from repro.memsim.tiers import Tier
+    from repro.sim.batchexec import execute_cohort
+    from repro.trace.events import AccessEpoch, InvocationTrace
+    from repro.vm.microvm import Backing, MicroVM
+
+    n_pages = 64
+    big = np.iinfo(np.int32).max
+    placement = np.zeros(n_pages, dtype=np.uint8)
+    placement[::2] = int(Tier.SLOW)
+    backing = np.full(n_pages, int(Backing.RESIDENT), dtype=np.uint8)
+    backing[16:48] = int(Backing.UFFD_SSD)
+    backing[48:] = int(Backing.ZERO)
+    template = MicroVM(n_pages, placement=placement, backing=backing)
+
+    def trace(shift: int) -> InvocationTrace:
+        epochs = tuple(
+            AccessEpoch(
+                0.01,
+                np.arange(shift + 8 * e, shift + 8 * e + 16),
+                np.full(16, big - e),
+                random_fraction=0.3,
+                store_fraction=0.25,
+            )
+            for e in range(3)
+        )
+        return InvocationTrace(n_pages=n_pages, epochs=epochs)
+
+    traces = [trace(shift) for shift in (0, 10, 30)]
+    total = sum(t.total_accesses for t in traces)
+    assert total > 2**31 and total == sum(16 * 3 * big - 16 * 3 for _ in traces)
+    batch = execute_cohort(template, traces)
+    for t, b in zip(traces, batch):
+        vm = MicroVM(n_pages, placement=placement, backing=backing)
+        s = vm.execute(t)
+        assert s.counters == b.counters
+        assert s.demand == b.demand
+        assert b.counters.fast_accesses + b.counters.slow_accesses == (
+            t.total_accesses
+        )
+        assert b.counters.slow_accesses > 2**31

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
@@ -12,14 +15,48 @@ from conftest import make_trace
 
 
 def sized_trace(n_hot_pages: int):
-    """A trace whose epoch arrays retain ~16 bytes per hot page."""
+    """A trace whose int32 columns retain ~8 bytes per hot page."""
     pages = tuple(range(n_hot_pages))
     counts = (1,) * n_hot_pages
     return make_trace(n_pages=max(n_hot_pages, 8), pages=pages, counts=counts)
 
 
+_OPAQUE = (
+    type,
+    types.ModuleType,
+    types.FunctionType,
+    types.MethodType,
+    types.BuiltinFunctionType,
+    TraceCache,
+)
+
+
+def retained_nbytes(*roots) -> int:
+    """Bytes of every distinct ndarray buffer reachable from ``roots``.
+
+    Views count through their base array, once, so a view of a column is
+    free and a separate copy is not.  The walk does not enter classes,
+    functions or bound methods (a cache's growth listener) or caches.
+    """
+    seen: set[int] = set()
+    buffers: dict[int, int] = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _OPAQUE):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj.nbytes
+            continue
+        stack.extend(gc.get_referents(obj))
+    return sum(buffers.values())
+
+
 def nbytes(trace) -> int:
-    return sum(e.pages.nbytes + e.counts.nbytes for e in trace.epochs)
+    return retained_nbytes(trace)
 
 
 class TestTraceCache:
@@ -128,3 +165,76 @@ class TestSynthesisIntegration:
         c = tiny_function.trace(1, 1)
         assert len({id(a), id(b), id(c)}) == 3
         assert len(cache) >= 3
+
+
+class TestRealBudget:
+    def test_used_bytes_bounds_retained_bytes_after_a_cohort(
+        self, tiny_function, monkeypatch
+    ):
+        """After a batch cohort, the cache charges at least what its traces
+        really retain (columns plus the views the cohort engine built),
+        and still stays within its budget."""
+        from repro.baselines import ReapSystem
+
+        cache = shared_trace_cache()
+        cache.clear()
+        one = tiny_function.trace(0, 0)
+        cache.clear()
+        # Room for about three bare traces: the cohort below must evict.
+        monkeypatch.setattr(
+            cache, "budget_bytes", 3 * retained_nbytes(one) + 1024
+        )
+        evictions = cache.evictions
+        # REAP restores fault non-WS pages in through userfaultfd, so the
+        # batch engine builds each trace's first-touch view.
+        system = ReapSystem(tiny_function, 0)
+        system.invoke_batch(0, list(range(8)))
+        traces = list(cache._entries.values())
+        assert traces, "the cohort left nothing cached"
+        assert cache.evictions > evictions
+        assert system._cohort_memo, "the cohort took the scalar engine"
+        assert retained_nbytes(*traces) <= cache.used_bytes
+        assert cache.used_bytes <= cache.budget_bytes
+        cache.clear()
+
+    def test_view_growth_is_charged_when_built(self):
+        cache = TraceCache(1 << 20)
+        trace = sized_trace(64)
+        cache.put("k", trace)
+        before = cache.used_bytes
+        hist = trace.histogram
+        assert cache.used_bytes == before + hist.nbytes == nbytes(trace)
+        trace.histogram  # cached: charged once
+        assert cache.used_bytes == nbytes(trace)
+
+    def test_view_growth_past_budget_evicts(self):
+        a, b = sized_trace(64), sized_trace(64)
+        cache = TraceCache(nbytes(a) + nbytes(b))
+        cache.put("a", a)
+        cache.put("b", b)
+        b.histogram  # grows b past the budget: a (LRU) must go
+        assert cache.get("a") is None
+        assert cache.get("b") is b
+        assert cache.used_bytes == nbytes(b) <= cache.budget_bytes
+
+    def test_evicted_trace_stops_charging(self):
+        a = sized_trace(64)
+        cache = TraceCache(nbytes(a))
+        cache.put("a", a)
+        cache.put("b", sized_trace(64))  # evicts a
+        used = cache.used_bytes
+        a.histogram
+        assert cache.used_bytes == used
+
+    def test_trace_under_two_keys_is_charged_per_entry(self):
+        trace = sized_trace(64)
+        cache = TraceCache(1 << 20)
+        cache.put("a", trace)
+        cache.put("b", trace)
+        trace.histogram
+        assert cache.used_bytes == 2 * nbytes(trace)
+        cache.put("a", sized_trace(8))  # replaces one of the two entries
+        assert cache.used_bytes == nbytes(trace) + nbytes(cache.get("a"))
+        cache.clear()
+        assert cache.used_bytes == 0
+        assert not trace._listeners

@@ -90,3 +90,114 @@ class TestInvocationTrace:
         e = AccessEpoch(0.1, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         trace = InvocationTrace(n_pages=4, epochs=(e,))
         assert trace.mean_random_fraction == 0.0
+
+
+def _first_touch_order_reference(trace):
+    """The original per-page loop, kept as the reference."""
+    seen: set[int] = set()
+    order: list[int] = []
+    for epoch in trace.epochs:
+        for page in epoch.pages.tolist():
+            if page not in seen:
+                seen.add(page)
+                order.append(page)
+    return np.asarray(order, dtype=np.int64)
+
+
+class TestColumnarLayout:
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_first_touch_order_matches_reference_loop(self, tiny_function, seed):
+        trace = tiny_function.trace(seed % 4, seed)
+        assert trace.n_epochs > 1
+        np.testing.assert_array_equal(
+            trace.first_touch_order(), _first_touch_order_reference(trace)
+        )
+
+    def test_first_touch_columns(self):
+        e1 = AccessEpoch(0.1, np.array([5, 9]), np.array([1, 1]))
+        e2 = AccessEpoch(0.1, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        e3 = AccessEpoch(0.1, np.array([2, 5, 11]), np.array([1, 1, 1]))
+        trace = InvocationTrace(n_pages=16, epochs=(e1, e2, e3))
+        assert trace.first_touch.dtype == np.int32
+        np.testing.assert_array_equal(trace.first_touch, [[2, 5, 9, 11], [2, 0, 0, 2]])
+        np.testing.assert_array_equal(trace.working_set, [2, 5, 9, 11])
+        np.testing.assert_array_equal(trace.first_touch_order(), [5, 9, 2, 11])
+
+    def test_epochs_are_zero_copy_views(self, tiny_function):
+        trace = tiny_function.trace(1, 4)
+        assert trace.pages.dtype == np.int32 and trace.counts.dtype == np.int32
+        assert trace.ptr.dtype == np.int64
+        for e, epoch in enumerate(trace.epochs):
+            lo, hi = trace.ptr[e], trace.ptr[e + 1]
+            assert np.shares_memory(epoch.pages, trace.pages)
+            assert np.shares_memory(epoch.counts, trace.counts)
+            np.testing.assert_array_equal(epoch.pages, trace.pages[lo:hi])
+            assert epoch.cpu_time_s == trace.epoch_cpu_time_s[e]
+        assert trace.histogram.sum() == trace.total_accesses
+
+    def test_epoch_built_trace_equals_column_built_trace(self):
+        trace = make_trace(n_epochs=3, store_fraction=0.5, random_fraction=0.25)
+        again = InvocationTrace.from_columns(
+            trace.n_pages,
+            pages=trace.pages,
+            counts=trace.counts,
+            ptr=trace.ptr,
+            cpu_time_s=trace.epoch_cpu_time_s,
+            random_fraction=trace.epoch_random_fraction,
+            store_fraction=trace.epoch_store_fraction,
+        )
+        assert again.pages is trace.pages  # int32 columns are not copied
+        assert again.cpu_time_s == trace.cpu_time_s
+        assert again.total_accesses == trace.total_accesses
+        np.testing.assert_array_equal(again.epoch_totals, [130, 130, 130])
+
+    def test_nbytes_counts_columns_and_built_views(self):
+        trace = make_trace(n_epochs=2)
+        columns = sum(
+            getattr(trace, name).nbytes
+            for name in ("pages", "counts", "ptr", "epoch_cpu_time_s",
+                         "epoch_random_fraction", "epoch_store_fraction")
+        )
+        assert trace.nbytes == columns
+        trace.histogram
+        assert trace.nbytes == columns + trace.histogram.nbytes
+
+    def test_int32_range_checked(self):
+        with pytest.raises(ConfigError, match="int32"):
+            AccessEpoch(0.1, np.array([2**31]), np.array([1]))
+        with pytest.raises(ConfigError, match="int32"):
+            AccessEpoch(0.1, np.array([1]), np.array([2**31]))
+        with pytest.raises(ConfigError, match="int32"):
+            InvocationTrace.from_columns(
+                16, pages=[1], counts=[2**32 + 1], ptr=[0, 1],
+                cpu_time_s=[0.1], random_fraction=[0.0], store_fraction=[0.0],
+            )
+
+    def test_column_validation(self):
+        def build(pages, counts, ptr, **kw):
+            n = len(ptr) - 1
+            args = dict(cpu_time_s=[0.1] * n, random_fraction=[0.0] * n,
+                        store_fraction=[0.0] * n)
+            args.update(kw)
+            return InvocationTrace.from_columns(
+                16, pages=pages, counts=counts, ptr=ptr, **args
+            )
+
+        # Each epoch restarts its ascending run; a repeat inside one fails.
+        assert build([3, 7, 1, 7], [1, 1, 1, 1], [0, 2, 4]).n_epochs == 2
+        with pytest.raises(ConfigError):
+            build([3, 7, 1, 7], [1, 1, 1, 1], [0, 4])
+        with pytest.raises(ConfigError):
+            build([3, 3], [1, 1], [0, 2])
+        with pytest.raises(ConfigError):
+            build([1, 2], [1, 1], [0, 3])
+        with pytest.raises(ConfigError):
+            build([1, 2], [1, 1], [0, 1, 2], cpu_time_s=[0.1])
+        with pytest.raises(ConfigError):
+            build([1, 2], [1, 0], [0, 1, 2])
+        with pytest.raises(ConfigError):
+            build([1], [1], [0, 1], store_fraction=[1.5])
+        with pytest.raises(AddressSpaceError):
+            build([1, 16], [1, 1], [0, 1, 2])
+        with pytest.raises(AddressSpaceError):
+            build([-1], [1], [0, 1])
