@@ -103,7 +103,9 @@ class ServerlessSystem(abc.ABC):
         backpressure hook, no host page cache), the cohort restores once
         and executes through the vectorized batch engine
         (:func:`repro.sim.batchexec.execute_cohort`); otherwise it falls
-        back to the scalar loop.
+        back to the scalar loop.  Either way the cohort's missing traces
+        are synthesised concurrently on the trace synthesis pool
+        (:meth:`FunctionModel.prefetch`) and claimed in seed order.
 
         On the fast path, execution values are memoized per
         ``(input_index, seed)``: cold invocations are fully deterministic
@@ -116,16 +118,19 @@ class ServerlessSystem(abc.ABC):
         engine shares trace arrays between results.
         """
         if not cohort_eligible(self.memory):
-            return [self.invoke(input_index, s) for s in seeds]
+            return self._invoke_each(input_index, seeds)
         memo = self._cohort_memo
         missing = [s for s in seeds if (input_index, s) not in memo]
         if missing or self._cohort_setup_s is None:
             restore = self._invoke_restore()
             if restore is None or restore.vm.page_cache is not None:
-                return [self.invoke(input_index, s) for s in seeds]
+                return self._invoke_each(input_index, seeds)
             self._cohort_setup_s = restore.setup_time_s
-            traces = [self._trace(input_index, s) for s in missing]
-            executions = execute_cohort(restore.vm, traces)
+            with self.function.prefetch(
+                input_index, missing, root_seed=self.root_seed
+            ):
+                traces = [self._trace(input_index, s) for s in missing]
+                executions = execute_cohort(restore.vm, traces)
             for seed, execution in zip(missing, executions):
                 c = execution.counters
                 memo[(input_index, seed)] = (
@@ -156,6 +161,13 @@ class ServerlessSystem(abc.ABC):
             )
             outcomes.append(self._outcome(input_index, seed, setup_s, execution))
         return outcomes
+
+    def _invoke_each(
+        self, input_index: int, seeds: Sequence[int]
+    ) -> list[SystemOutcome]:
+        """The scalar per-seed loop, its traces synthesised ahead."""
+        with self.function.prefetch(input_index, seeds, root_seed=self.root_seed):
+            return [self.invoke(input_index, s) for s in seeds]
 
     def _trace(self, input_index: int, seed: int):
         return self.function.trace(input_index, seed, root_seed=self.root_seed)

@@ -12,12 +12,16 @@ about one serverless function:
 
 :meth:`FunctionModel.trace` turns that into an
 :class:`~repro.trace.events.InvocationTrace` for a given invocation seed.
-The same (function, input, seed) triple always yields the same trace.
+The same (function, input, seed) triple always yields the same trace;
+:meth:`FunctionModel.prefetch` builds a cohort's traces concurrently
+ahead of the ``trace`` calls that consume them.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from .. import config, rng as rng_mod
 from ..errors import ConfigError
 from ..obs import profile as profile_mod
 from ..trace import cache as trace_cache
+from ..trace import pool as trace_pool
 from ..trace.allocator import GuestAllocator
 from ..trace.events import InvocationTrace, int32_column
 from ..trace.synth import Band, banded_histogram
@@ -184,11 +189,54 @@ class FunctionModel:
         cached = cache.get(cache_key)
         if cached is not None:
             return cached
+        # A prefetched key is in flight on the synthesis pool: take over
+        # work no worker has started, otherwise wait for the worker.
+        future = trace_pool.shared_synthesis_pool().claim(cache_key)
         with profile_mod.phase("trace/synth"):
-            trace = self._synthesize(spec, input_index, invocation_seed,
-                                     root_seed)
+            if future is None or future.cancel():
+                trace = self._synthesize(spec, input_index, invocation_seed,
+                                         root_seed)
+            else:
+                trace = future.result()
         cache.put(cache_key, trace)
         return trace
+
+    @contextlib.contextmanager
+    def prefetch(
+        self,
+        input_index: int,
+        seeds: Iterable[int],
+        *,
+        root_seed: int = config.DEFAULT_SEED,
+    ) -> Iterator[list[tuple]]:
+        """Synthesise, inside the block, the traces :meth:`trace` will be
+        asked for.
+
+        Every ``(input_index, seed, root_seed)`` trace that is neither
+        cached nor already in flight is submitted to the process-wide
+        synthesis pool; :meth:`trace` stays the only way to obtain one and
+        owns every cache insertion.  Consume the traces in ``seeds`` order
+        inside ``with model.prefetch(...):``; leaving the block drops
+        every key left unclaimed, even when the block raises.  Yields the
+        submitted cache keys.  Without spare CPUs this does nothing.
+        """
+        spec = self.input_spec(input_index)
+        cache = trace_cache.shared_trace_cache()
+        pool = trace_pool.shared_synthesis_pool()
+        keys = []
+        if pool.workers:
+            # Workers start from the far end while the caller synthesises
+            # from the front, so the two meet in the middle.
+            for seed in reversed(list(seeds)):
+                key = (self, input_index, seed, root_seed)
+                if key not in cache and pool.submit(
+                    key, self._synthesize, spec, input_index, seed, root_seed
+                ) is not None:
+                    keys.append(key)
+        try:
+            yield keys
+        finally:
+            pool.discard(keys)
 
     def _synthesize(
         self,

@@ -18,6 +18,7 @@ arrivals should use :attr:`Scheduler.engine` (``run_timeline``) directly.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 from ..errors import SchedulerError
@@ -169,10 +170,25 @@ class Scheduler:
             raise SchedulerError(
                 f"batch of {len(batch)} outside 1..{self.n_cores} cores"
             )
-        outcomes = [
-            system.invoke(input_index, seed_base + i)
-            for i, (system, input_index) in enumerate(batch)
-        ]
+        # One prefetch per distinct (function, input): the traces of the
+        # whole batch synthesise concurrently and are claimed in order.
+        cohorts: dict[tuple, list[int]] = {}
+        for i, (system, input_index) in enumerate(batch):
+            key = (system.function, system.root_seed, input_index)
+            cohorts.setdefault(key, []).append(seed_base + i)
+        with contextlib.ExitStack() as stack:
+            # Last cohort first, so the pool's queue runs from the far end
+            # of the batch while this thread works from the front.
+            for (function, root_seed, input_index), seeds in reversed(
+                cohorts.items()
+            ):
+                stack.enter_context(
+                    function.prefetch(input_index, seeds, root_seed=root_seed)
+                )
+            outcomes = [
+                system.invoke(input_index, seed_base + i)
+                for i, (system, input_index) in enumerate(batch)
+            ]
         demands = [o.execution.demand for o in outcomes]
         times, inflation = self.engine.run_synchronized(demands)
         return ConcurrencyResult(

@@ -54,6 +54,10 @@ class TraceCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, key: Hashable) -> bool:
+        """Membership peek: touches neither the counters nor LRU order."""
+        return key in self._entries
+
     @property
     def used_bytes(self) -> int:
         """Bytes currently retained by cached traces, views included."""
