@@ -1,15 +1,16 @@
-"""N-tier extension bench: what a third rung buys over the paper's two.
+"""N-tier extension bench: what a third tier buys over the paper's two.
 
 Not a paper figure — the future-work extension quantified: for a set of
 suite functions, compare the two-tier minimum cost (DRAM+PMEM, the
-paper's platform) against three-rung ladders.
+paper's platform) against three-tier chains searched with
+``ProfilingAnalyzer.search_chain``.
 """
 
 import numpy as np
 
 from repro.core.analysis import ProfilingAnalyzer
 from repro.functions import get_function
-from repro.multitier import DRAM_CXL_NVME, DRAM_PMEM_NVME, MultiTierAnalyzer
+from repro.memsim.presets import DRAM_CXL_NVME, DRAM_PMEM_NVME
 from repro.profiling import DamonProfiler, UnifiedAccessPattern
 from repro.report import Table
 from repro.vm.vmm import VMM
@@ -41,8 +42,8 @@ def _run() -> Table:
         pattern = _pattern(func)
         trace = func.trace(3, 999)
         two = ProfilingAnalyzer().analyze(pattern, trace)
-        pmem3 = MultiTierAnalyzer(DRAM_PMEM_NVME).analyze(pattern, trace)
-        cxl3 = MultiTierAnalyzer(DRAM_CXL_NVME).analyze(pattern, trace)
+        pmem3 = ProfilingAnalyzer(DRAM_PMEM_NVME).search_chain(pattern, trace)
+        cxl3 = ProfilingAnalyzer(DRAM_CXL_NVME).search_chain(pattern, trace)
         table.add_row(
             name,
             two.cost,
@@ -54,13 +55,13 @@ def _run() -> Table:
     return table
 
 
-def test_multitier_extension(benchmark, emit):
+def test_ntier_extension(benchmark, emit):
     table = benchmark.pedantic(_run, rounds=1, iterations=1)
     emit("extension_multitier", table.render())
 
     for row in table.rows:
         two_tier, pmem3, cxl3 = row[1], row[2], row[3]
-        # A richer ladder never costs more than the paper's two tiers.
+        # A richer chain never costs more than the paper's two tiers.
         assert pmem3 <= two_tier + 1e-9
         assert cxl3 <= two_tier + 1e-9
         # And the slowdown stays in the acceptable band.

@@ -18,6 +18,11 @@ Because decisions are made from DAMON *observations* while slowdowns are
 *measured* on the real access pattern, pages that merely look cold still
 charge their true cost — which is how the paper's pagerank ends up with
 only 49 % offloaded.
+
+:meth:`ProfilingAnalyzer.search_chain` extends the binary fast/slow
+decision to the memory system's whole tier chain (middle tiers such as
+compressed pools or CXL memory): the same bins, hill-climbed bin by bin
+onto whichever tier minimises Equation 1.
 """
 
 from __future__ import annotations
@@ -32,11 +37,15 @@ from ..errors import AnalysisError
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem, Tier
 from ..profiling.unified import UnifiedAccessPattern
 from ..regions import Region, split_region
+from ..sim.timing import normalized_slowdown
 from ..trace.events import InvocationTrace
 from ..vm.microvm import MicroVM
-from .cost import CostPoint, normalized_cost
+from .cost import CostPoint, normalized_cost, normalized_cost_tiers
 
-__all__ = ["BinProfile", "AnalysisResult", "ProfilingAnalyzer"]
+__all__ = ["BinProfile", "AnalysisResult", "ChainPlacement", "ProfilingAnalyzer"]
+
+SEARCH_MAX_ROUNDS = 200
+"""Cap on applied moves in :meth:`ProfilingAnalyzer.search_chain`."""
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,76 @@ class AnalysisResult:
         return tuple(b for b in self.bins if b.selected)
 
 
+@dataclass(frozen=True)
+class ChainPlacement:
+    """Outcome of :meth:`ProfilingAnalyzer.search_chain`."""
+
+    n_pages: int
+    placement: np.ndarray
+    """Per-page tier ids (see :attr:`MemorySystem.tier_ids`)."""
+    base_slowdown: float
+    """Slowdown of the start placement, before any move."""
+    slowdown: float
+    """At most ``max(base_slowdown, 1 + slowdown_threshold)``: the start
+    placement already demotes the zero-access regions, whatever the
+    budget."""
+    cost: float
+    tier_fractions: tuple[float, ...]
+    """Share of guest memory on each tier, in chain order."""
+    moves: int
+
+    @property
+    def top_tier_fraction(self) -> float:
+        """Share of guest memory still on the fast tier."""
+        return self.tier_fractions[0]
+
+
+def _chain_time_s(
+    placement: np.ndarray, trace: InvocationTrace, memory: MemorySystem
+) -> float:
+    """Resident execution time of ``trace`` under a tier-id placement.
+
+    The search's lean evaluator: CPU time plus each access at its tier's
+    effective latency, summed in chain order — no faults, no contention
+    accounting, a fraction of :meth:`MicroVM.execute`'s cost per call.
+    """
+    ids = list(memory.tier_ids)
+    # One gather over the trace's page column, sliced per epoch.
+    tiers_all = placement[trace.pages.astype(np.intp)]
+    bounds = trace.ptr.tolist()
+    total = 0.0
+    for e, epoch in enumerate(trace.epochs):
+        total += epoch.cpu_time_s
+        if epoch.pages.size == 0:
+            continue
+        lat = np.array(
+            [
+                t.effective_access_latency_s(
+                    epoch.random_fraction, epoch.store_fraction
+                )
+                for t in memory.chain
+            ]
+        )
+        per_id = np.bincount(
+            tiers_all[bounds[e]:bounds[e + 1]],
+            weights=epoch.counts,
+            minlength=memory.n_tiers,
+        )
+        total += float((per_id[ids] * lat).sum())
+    return total
+
+
+def _check_inputs(
+    pattern: UnifiedAccessPattern,
+    profile_trace: InvocationTrace,
+    slowdown_threshold: float | None,
+) -> None:
+    if pattern.n_pages != profile_trace.n_pages:
+        raise AnalysisError("pattern and profiling trace cover different guests")
+    if slowdown_threshold is not None and slowdown_threshold < 0:
+        raise AnalysisError("slowdown threshold must be non-negative")
+
+
 class ProfilingAnalyzer:
     """Runs Section V-C's analysis for one function's unified pattern."""
 
@@ -108,6 +187,19 @@ class ProfilingAnalyzer:
         self.pack_mode = pack_mode
 
     # -- binning ---------------------------------------------------------------
+
+    def _regions(
+        self, pattern: UnifiedAccessPattern
+    ) -> tuple[list[Region], list[Region]]:
+        """The pattern's merged regions, split into (zero-access, live)."""
+        regions = pattern.regions(
+            merge_tolerance=self.merge_tolerance,
+            min_region_pages=self.min_region_pages,
+        )
+        return (
+            [r for r in regions if r.value <= 0],
+            [r for r in regions if r.value > 0],
+        )
 
     def _pack_bins(self, live_regions: list[Region]) -> list[list[Region]]:
         """Split the live regions into mostly-equally-accessed bins.
@@ -188,17 +280,9 @@ class ProfilingAnalyzer:
         slowdown_threshold: float | None = None,
     ) -> AnalysisResult:
         """Produce the minimum-cost placement (optionally threshold-bound)."""
-        if pattern.n_pages != profile_trace.n_pages:
-            raise AnalysisError("pattern and profiling trace cover different guests")
-        if slowdown_threshold is not None and slowdown_threshold < 0:
-            raise AnalysisError("slowdown threshold must be non-negative")
+        _check_inputs(pattern, profile_trace, slowdown_threshold)
         n_pages = pattern.n_pages
-        regions = pattern.regions(
-            merge_tolerance=self.merge_tolerance,
-            min_region_pages=self.min_region_pages,
-        )
-        zero_regions = [r for r in regions if r.value <= 0]
-        live_regions = [r for r in regions if r.value > 0]
+        zero_regions, live_regions = self._regions(pattern)
 
         # Step 1: zero-accessed regions go to the slow tier.
         base_placement = np.full(n_pages, int(Tier.FAST), dtype=np.uint8)
@@ -312,4 +396,111 @@ class ProfilingAnalyzer:
             curve=tuple(curve),
             dram_time_s=dram_time,
             final_time_s=final_time,
+        )
+
+    # -- N-tier search -----------------------------------------------------------
+
+    def search_chain(
+        self,
+        pattern: UnifiedAccessPattern,
+        profile_trace: InvocationTrace,
+        *,
+        slowdown_threshold: float | None = None,
+        seed_placement: np.ndarray | None = None,
+    ) -> ChainPlacement:
+        """Hill-climb bins onto the memory system's tier chain.
+
+        Starts from every live bin on the fast tier and every zero-access
+        region on the bottom (last-in-chain) tier, or from
+        ``seed_placement`` (tier ids, e.g. a two-tier
+        :meth:`analyze` placement as it is).  Each round measures every
+        (bin, tier) move, trying tiers in chain order, and applies the
+        single move with the lowest Equation-1 cost
+        (:func:`normalized_cost_tiers`) among those within the slowdown
+        threshold; the search stops when no move lowers the cost.  Every
+        applied move strictly lowers the cost, so the result never costs
+        more than the seed: seeding a richer chain with the two-tier
+        result means extra tiers never raise the cost at a fixed budget.
+        The threshold bounds the moves, not the start placement, so the
+        result's slowdown is at most ``max(base_slowdown, 1 + threshold)``.
+        """
+        _check_inputs(pattern, profile_trace, slowdown_threshold)
+        memory = self.memory
+        n_pages = pattern.n_pages
+        zero_regions, live_regions = self._regions(pattern)
+        bins = self._pack_bins(live_regions)
+
+        if seed_placement is not None:
+            placement = np.asarray(seed_placement, dtype=np.uint8).copy()
+            if placement.shape != (n_pages,):
+                raise AnalysisError("seed placement shape does not match guest")
+            if placement.size and int(placement.max()) >= memory.n_tiers:
+                raise AnalysisError(
+                    f"seed placement references tier {int(placement.max())}, "
+                    f"chain has {memory.n_tiers}"
+                )
+        else:
+            placement = np.full(n_pages, int(Tier.FAST), dtype=np.uint8)
+            for region in zero_regions:
+                placement[region.start_page : region.end_page] = memory.tier_ids[-1]
+
+        base_time = _chain_time_s(
+            np.full(n_pages, int(Tier.FAST), dtype=np.uint8), profile_trace, memory
+        )
+        if base_time <= 0:
+            raise AnalysisError("profiling trace has zero duration")
+        ids = list(memory.tier_ids)
+
+        def fractions(pl: np.ndarray) -> np.ndarray:
+            return np.bincount(pl, minlength=memory.n_tiers)[ids] / n_pages
+
+        def evaluate(pl: np.ndarray) -> tuple[float, float]:
+            sd = normalized_slowdown(
+                _chain_time_s(pl, profile_trace, memory), base_time
+            )
+            return sd, normalized_cost_tiers(sd, fractions(pl), memory)
+
+        # A bin's starting tier comes from the (possibly seeded) placement
+        # so the "skip the current tier" test stays truthful.
+        assignment = [
+            int(placement[regions[0].start_page]) if regions else int(Tier.FAST)
+            for regions in bins
+        ]
+        base_slowdown, current_cost = evaluate(placement)
+        current_sd = base_slowdown
+        moves = 0
+        for _ in range(SEARCH_MAX_ROUNDS):
+            best: tuple[float, int, int, float] | None = None
+            for b, regions in enumerate(bins):
+                for tier in ids:
+                    if tier == assignment[b]:
+                        continue
+                    trial = placement.copy()
+                    for region in regions:
+                        trial[region.start_page : region.end_page] = tier
+                    sd, cost = evaluate(trial)
+                    if slowdown_threshold is not None and (
+                        sd - 1.0 > slowdown_threshold
+                    ):
+                        continue
+                    if cost < current_cost - 1e-12 and (
+                        best is None or cost < best[0]
+                    ):
+                        best = (cost, b, tier, sd)
+            if best is None:
+                break
+            current_cost, b, tier, current_sd = best
+            for region in bins[b]:
+                placement[region.start_page : region.end_page] = tier
+            assignment[b] = tier
+            moves += 1
+
+        return ChainPlacement(
+            n_pages=n_pages,
+            placement=placement,
+            base_slowdown=base_slowdown,
+            slowdown=current_sd,
+            cost=current_cost,
+            tier_fractions=tuple(float(f) for f in fractions(placement)),
+            moves=moves,
         )

@@ -41,9 +41,9 @@ def spread_bins_across_tiers(
     the slow tier reproduce ``analysis.expected_slowdown`` and
     ``analysis.cost``-shaped terms), so a move is applied only when it
     improves on the measured configuration's estimate.  The measured
-    N-tier search (per-move executions) lives in
-    :class:`repro.multitier.MultiTierAnalyzer`; this spread is the cheap
-    snapshot-build-time mapping.
+    N-tier search (per-move executions) is
+    :meth:`repro.core.analysis.ProfilingAnalyzer.search_chain`; this
+    spread is the cheap snapshot-build-time mapping.
 
     Returns a new placement array; without middle tiers it is an
     unmodified copy.

@@ -8,9 +8,11 @@ The all-DRAM configuration anchors the frontier at cost 1.0 / slowdown
 1.0; every other point trades slowdown for TCO.
 
 Each compressed configuration's search is *seeded* with the two-tier
-optimum projected onto its chain, so (per the hill-climbing guarantee in
-:class:`repro.multitier.MultiTierAnalyzer`) adding a compressed tier can
-never report a higher cost than the two-tier point at the same budget.
+optimum as it is (tier ids 0 and 1 are the fast and slow ends of every
+chain), so (per the hill-climbing guarantee of
+:meth:`repro.core.analysis.ProfilingAnalyzer.search_chain`) adding a
+compressed tier can never report a higher cost than the two-tier point at
+the same budget.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.analysis import ProfilingAnalyzer
 from ..memsim.compressed import (
     LZ4_POINT,
     ZSTD_POINT,
     compressed_memory_system,
 )
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem
-from ..multitier.analysis import MultiTierAnalyzer
 from ..report import Table
 from .common import ALL_INPUTS, toss_cached
 
@@ -68,7 +70,10 @@ class FrontierPoint:
     cost: float
     """Mean normalised memory cost across the swept functions."""
     slowdown: float
-    """Mean achieved slowdown (<= 1 + threshold by construction)."""
+    """Mean achieved slowdown.  Not bounded by ``1 + threshold``: each
+    search starts with the zero-access regions on the bottom tier, before
+    the budget applies, so a function's slowdown is at most the larger of
+    that start placement's slowdown and ``1 + threshold``."""
     costs: dict[str, float]
     """Per-function normalised cost behind the mean."""
 
@@ -108,18 +113,6 @@ class TcoFrontierResult:
         return self.best_compressed_cost < self.best_two_tier_cost
 
 
-def _project(placement: np.ndarray, n_tiers: int) -> np.ndarray:
-    """Project a two-tier placement onto an N-rung ladder.
-
-    Rung 0 stays; the two-tier slow rung maps to the terminal rung, so
-    the seed occupies the same chain endpoints the two-tier optimum
-    used (latency/price no worse there — see module docstring).
-    """
-    seed = placement.astype(np.uint8).copy()
-    seed[seed > 0] = n_tiers - 1
-    return seed
-
-
 def run(
     *,
     function_names: list[str] | None = None,
@@ -130,7 +123,8 @@ def run(
     """Sweep the TCO-vs-slowdown frontier.
 
     For every function the converged unified access pattern and a fixed
-    evaluation trace drive one :class:`MultiTierAnalyzer` search per
+    evaluation trace drive one
+    :meth:`~repro.core.analysis.ProfilingAnalyzer.search_chain` per
     (configuration, budget); compressed configurations are seeded with
     the two-tier result so the frontier is monotone by construction.
     """
@@ -157,15 +151,14 @@ def run(
         # compressed configuration at this budget.
         two_tier: dict[str, np.ndarray] = {}
         for cfg_name, memory in swept:
-            ladder = memory.ladder()
-            analyzer = MultiTierAnalyzer(ladder)
+            analyzer = ProfilingAnalyzer(memory)
             costs: dict[str, float] = {}
             slowdowns: list[float] = []
             for name, pattern, trace in prepared:
                 seed = None
-                if cfg_name != TWO_TIER_NAME and name in two_tier:
-                    seed = _project(two_tier[name], ladder.n_tiers)
-                result = analyzer.analyze(
+                if cfg_name != TWO_TIER_NAME:
+                    seed = two_tier.get(name)
+                result = analyzer.search_chain(
                     pattern,
                     trace,
                     slowdown_threshold=threshold,

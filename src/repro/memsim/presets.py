@@ -8,6 +8,13 @@ tier".  These presets instantiate those pairings with public device
 characteristics so the cost model and the whole pipeline can be evaluated
 on each (see ``benchmarks/test_ablations.py`` / ``examples``).
 
+``DRAM_CXL_NVME`` and ``DRAM_PMEM_NVME`` go beyond two technologies: the
+CXL or PMEM tier sits in the middle of a chain ending in NVMe far memory.
+The execute and contention engines model a middle tier as a pool living
+in fast-tier memory, so these presets are meant for placement search
+(:meth:`repro.core.analysis.ProfilingAnalyzer.search_chain`) and are not
+in :data:`ALL_PRESETS`.
+
 All numbers are order-of-magnitude device characteristics; as everywhere
 in this reproduction, only the ratios drive the results.
 """
@@ -22,6 +29,8 @@ __all__ = [
     "DDR5_CXL",
     "HBM_DRAM",
     "DRAM_NVME",
+    "DRAM_CXL_NVME",
+    "DRAM_PMEM_NVME",
     "ALL_PRESETS",
 ]
 
@@ -88,6 +97,16 @@ NVME_AS_MEMORY_SPEC = TierSpec(
 
 DRAM_NVME = MemorySystem(fast=DRAM_SPEC, slow=NVME_AS_MEMORY_SPEC)
 """DRAM + swap-class NVMe far memory (TMO-style, Section VII-B)."""
+
+DRAM_CXL_NVME = MemorySystem(
+    fast=DRAM_SPEC, slow=NVME_AS_MEMORY_SPEC, middle=(CXL_DDR4_SPEC,)
+)
+"""Local DRAM, CXL-attached DDR4 in the middle, NVMe far memory."""
+
+DRAM_PMEM_NVME = MemorySystem(
+    fast=DRAM_SPEC, slow=NVME_AS_MEMORY_SPEC, middle=(PMEM_SPEC,)
+)
+"""The paper's platform with PMEM in the middle and an NVMe capacity tier."""
 
 ALL_PRESETS: dict[str, MemorySystem] = {
     "dram+pmem": DRAM_PMEM,

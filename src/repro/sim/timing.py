@@ -1,9 +1,9 @@
 """Shared setup/execution timing bookkeeping.
 
-Before the event kernel existed, ``baselines.base.SystemOutcome`` and
-``multitier.vm.MultiTierVM`` each kept their own setup/exec arithmetic
-(totals and baseline-normalised slowdowns).  Both now route through this
-one helper so a timing convention changes in exactly one place.
+``baselines.base.SystemOutcome`` and the N-tier placement search
+(``core.analysis.ProfilingAnalyzer.search_chain``) take their totals and
+baseline-normalised slowdowns from this one helper, so a timing
+convention changes in exactly one place.
 """
 
 from __future__ import annotations

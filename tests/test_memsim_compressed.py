@@ -30,7 +30,6 @@ from repro.memsim.tiers import (
     MemorySystem,
     Tier,
 )
-from repro.multitier.analysis import MultiTierAnalyzer
 from repro.trace.synth import Band
 from repro.vm.microvm import Backing, MicroVM
 
@@ -282,33 +281,29 @@ class TestMonotonicityProperty:
     ):
         """At a fixed slowdown budget, a richer chain can't cost more."""
         pattern, trace = _tiny_pattern_and_trace()
-        two_ladder = DEFAULT_MEMORY_SYSTEM.ladder()
-        two = MultiTierAnalyzer(two_ladder).analyze(
+        two = ProfilingAnalyzer().search_chain(
             pattern, trace, slowdown_threshold=threshold
         )
         if point.ratio > DEFAULT_MEMORY_SYSTEM.cost_ratio:
             memory = compressed_memory_system((point,), slow=None)
         else:
             memory = compressed_memory_system((point,))
-        ladder = memory.ladder()
-        seed = two.placement.copy()
-        seed[seed > 0] = ladder.n_tiers - 1
-        richer = MultiTierAnalyzer(ladder).analyze(
+        richer = ProfilingAnalyzer(memory).search_chain(
             pattern,
             trace,
             slowdown_threshold=threshold,
-            seed_placement=seed,
+            seed_placement=two.placement,
         )
         assert richer.cost <= two.cost + 1e-9
 
     def test_two_tier_placement_projects_onto_richer_chain(self):
-        """The seed the property relies on is a valid starting point."""
+        """The seed the property relies on is a valid starting point:
+        the two-tier placement as it is (tier ids 0 and 1 are the fast and
+        slow ends of every chain)."""
         pattern, trace = _tiny_pattern_and_trace()
         analysis = ProfilingAnalyzer().analyze(pattern, trace)
         memory = compressed_memory_system((LZ4_POINT,))
-        seed = analysis.placement.copy()
-        seed[seed > 0] = memory.n_tiers - 1
-        result = MultiTierAnalyzer(memory.ladder()).analyze(
-            pattern, trace, seed_placement=seed
+        result = ProfilingAnalyzer(memory).search_chain(
+            pattern, trace, seed_placement=analysis.placement
         )
         assert result.cost <= analysis.cost + 1e-9

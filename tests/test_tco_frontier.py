@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.analysis import ProfilingAnalyzer
+from repro.core.cost import normalized_cost_tiers
 from repro.experiments import tco_frontier
+from repro.memsim.tiers import Tier
+
+from test_core_analysis import profiled_pattern
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +55,30 @@ class TestFrontierClaims:
             if p.config == tco_frontier.TWO_TIER_NAME:
                 continue
             assert p.cost <= two[p.threshold] + 1e-9
+
+    def test_two_tier_placement_seeds_every_chain(self, tiny_function):
+        """A two-tier placement seeds every swept chain as it is: its ids
+        0 and 1 are each chain's fast and slow ends, and the search never
+        ends costlier than that seed."""
+        pattern = profiled_pattern(tiny_function)
+        trace = tiny_function.trace(3, 999)
+        two = ProfilingAnalyzer().analyze(pattern, trace)
+        assert two.zero_pages > 0 and two.slow_fraction > 0
+        for name, memory in tco_frontier.default_configs():
+            ids = memory.tier_ids
+            assert (ids[0], ids[-1]) == (int(Tier.FAST), int(Tier.SLOW))
+            result = ProfilingAnalyzer(memory).search_chain(
+                pattern, trace, seed_placement=two.placement
+            )
+            seed_fractions = [np.mean(two.placement == t) for t in ids]
+            seed_cost = normalized_cost_tiers(
+                result.base_slowdown, seed_fractions, memory
+            )
+            assert result.cost <= seed_cost + 1e-12
+            if name == tco_frontier.TWO_TIER_NAME:
+                assert result.base_slowdown == pytest.approx(
+                    two.expected_slowdown, rel=1e-9
+                )
 
     def test_best_compressed_beats_best_two_tier(self, result):
         assert result.best_compressed_cost < result.best_two_tier_cost

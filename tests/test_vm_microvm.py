@@ -28,6 +28,11 @@ class TestConstruction:
         with pytest.raises(VMError):
             MicroVM(100, placement=np.zeros(50, dtype=np.uint8))
 
+    def test_tier_id_outside_chain_rejected(self):
+        placement = np.full(100, 2, dtype=np.uint8)
+        with pytest.raises(VMError, match="references tier 2"):
+            MicroVM(100, placement=placement)
+
     def test_arrays_are_copied(self):
         placement = np.zeros(100, dtype=np.uint8)
         vm = MicroVM(100, placement=placement)
