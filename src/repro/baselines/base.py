@@ -86,7 +86,7 @@ class ServerlessSystem(abc.ABC):
 
         Systems whose invoke is exactly ``restore fresh, execute trace``
         return that restore here to unlock :meth:`invoke_batch`'s
-        vectorized fast path; the default ``None`` keeps the scalar
+        one-restore cohort path; the default ``None`` keeps the
         per-invocation loop.
         """
         return None
@@ -101,9 +101,9 @@ class ServerlessSystem(abc.ABC):
         its restore (:meth:`_invoke_restore`) and the process state is
         pure (no fault injector, no observation runtime, no slow-tier
         backpressure hook, no host page cache), the cohort restores once
-        and executes through the vectorized batch engine
+        and executes in one pass of the execution kernel
         (:func:`repro.sim.batchexec.execute_cohort`); otherwise it falls
-        back to the scalar loop.  Either way the cohort's missing traces
+        back to one restore and execute per seed.  Either way the cohort's missing traces
         are synthesised concurrently on the trace synthesis pool
         (:meth:`FunctionModel.prefetch`) and claimed in seed order.
 
@@ -114,8 +114,8 @@ class ServerlessSystem(abc.ABC):
         skip both the restore and the execution.  Outcomes are still
         rebuilt fresh — :class:`~repro.memsim.accounting.PerfCounters` is
         mutable, so only its field values are cached; the frozen demand
-        vectors and epoch records are shared, exactly as the scalar
-        engine shares trace arrays between results.
+        vectors and epoch records are shared, exactly as results share
+        trace arrays.
         """
         if not cohort_eligible(self.memory):
             return self._invoke_each(input_index, seeds)
@@ -165,7 +165,7 @@ class ServerlessSystem(abc.ABC):
     def _invoke_each(
         self, input_index: int, seeds: Sequence[int]
     ) -> list[SystemOutcome]:
-        """The scalar per-seed loop, its traces synthesised ahead."""
+        """The per-seed invoke loop, its traces synthesised ahead."""
         with self.function.prefetch(input_index, seeds, root_seed=self.root_seed):
             return [self.invoke(input_index, s) for s in seeds]
 

@@ -104,10 +104,10 @@ class Scheduler:
             raise SchedulerError(
                 f"concurrency {concurrency} outside 1..{self.n_cores} cores"
             )
-        # invoke_batch is contractually bit-identical to the scalar
-        # per-seed invoke loop; eligible systems serve the whole cohort
-        # through the vectorized batch engine (one restore, one flat
-        # NumPy execution pass) instead of C coroutine replays.
+        # invoke_batch is contractually bit-identical to the per-seed
+        # invoke loop; eligible systems serve the whole cohort with one
+        # restore and one pass of the execution kernel instead of C
+        # coroutine replays.
         outcomes = system.invoke_batch(
             input_index, [seed_base + i for i in range(concurrency)]
         )

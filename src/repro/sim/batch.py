@@ -1,27 +1,25 @@
 """Vectorized batch primitives under the coroutine event-loop API.
 
-The event kernel's hot paths process *cohorts*: many heap entries with
-the same structure (arrival cohorts in
-:meth:`repro.platform.server.ServerlessPlatform.serve`), many telemetry
-samples per completion (:class:`repro.sim.contention.EventScheduler`),
-many same-instant token draws (restore chunks), and many per-epoch
-reductions (the batch executor in :mod:`repro.sim.batchexec`).  This
-module holds the NumPy structured-array machinery those paths share.
+The event kernel's hot paths process *cohorts*: many telemetry samples
+per completion (:class:`repro.sim.contention.EventScheduler`), many
+same-instant token draws (restore chunks), and many per-epoch
+reductions (the execution kernel in :mod:`repro.sim.batchexec`).  This
+module holds the NumPy machinery those paths share.
 
 Every helper here is **bit-identical** to the scalar code it replaces.
 The invariants that make that true:
 
-* The heap's total order on ``(time, priority, seq)`` is exactly the
-  lexicographic order ``np.lexsort`` produces, and ``seq`` is unique, so
-  :func:`heap_drain_order` equals the sequence of ``heapq`` pops.
-* ``np.add.accumulate``/``np.subtract.accumulate`` are sequential left
-  folds (unlike ``np.add.reduce``/``reduceat``, which use pairwise
-  summation and are *not* reused here for floats);
-  :func:`segment_fold_left` therefore reproduces ``acc += x`` loops
-  exactly, element by element, in segment order.
-* Integer segment sums are order-independent and exact, so the
-  cumsum-difference trick in :func:`segment_sums_int` is safe even for
-  empty segments (where ``reduceat`` would misbehave).
+* :func:`segment_fold_left` folds each segment with
+  ``np.add.accumulate``, a sequential left fold, so it reproduces
+  ``acc += x`` loops exactly, element by element, in segment order
+  (unlike ``np.add.reduce``/``reduceat``, which use pairwise summation
+  and are *not* used here for floats).
+* Integer segment sums are order-independent and exact, so
+  :func:`segment_sums_int` may use ``reduceat``'s pairwise accumulation
+  (skipping the empty segments it would misbehave on).
+
+Both take one flat column or a stacked ``(k, n)`` array of ``k`` columns
+that share one segmentation, and reduce every row the same way.
 """
 
 from __future__ import annotations
@@ -33,29 +31,10 @@ from ..errors import ConfigError
 from ..memsim.bandwidth import RESOURCES
 
 __all__ = [
-    "heap_drain_order",
     "segment_sums_int",
     "segment_fold_left",
     "SampleBuffer",
 ]
-
-
-def heap_drain_order(
-    times: npt.NDArray[np.float64],
-    priorities: npt.NDArray[np.int64],
-    seqs: npt.NDArray[np.int64],
-) -> npt.NDArray[np.intp]:
-    """Order in which the event heap would pop a cohort of entries.
-
-    The coroutine loop pops entries by the total order
-    ``(time, priority, seq)``; ``seq`` is unique per loop, which makes
-    the order total, which makes it *identical* to a lexicographic sort.
-    Returns the permutation (indices into the cohort) — the batch
-    engine's ``reduceat``-style draining walks cohorts in this order.
-    """
-    if not times.shape == priorities.shape == seqs.shape:
-        raise ConfigError("cohort columns must have matching shapes")
-    return np.lexsort((seqs, priorities, times))
 
 
 def segment_sums_int(
@@ -64,15 +43,24 @@ def segment_sums_int(
 ) -> npt.NDArray[np.int64]:
     """Per-segment int64 sums of an integer array (exact, empty segments ok).
 
-    ``ptr`` holds the segment boundaries (length ``n_segments + 1``).
-    Integer addition is associative and exact, so the cumulative-sum
-    difference equals the per-segment loop regardless of order.  The sum
-    accumulates in int64 whatever the input width, so int32 trace counts
-    cannot overflow.
+    ``ptr`` holds the segment boundaries (length ``n_segments + 1``,
+    ending at the array's length) along the last axis of ``values``; a
+    stacked ``(k, n)`` input gives ``(k, n_segments)`` sums.  Integer
+    addition is associative and exact, so ``reduceat``'s pairwise
+    accumulation equals the per-segment loop, and it accumulates in int64
+    whatever the input width, so int32 trace counts cannot overflow.
+    ``reduceat`` mishandles zero-length segments, so only non-empty
+    starts are passed: each such segment then runs to the next non-empty
+    start, which is its true end because the skipped segments hold no
+    elements.
     """
-    cum = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(values, dtype=np.int64, out=cum[1:])
-    out: npt.NDArray[np.int64] = cum[ptr[1:]] - cum[ptr[:-1]]
+    starts = ptr[:-1]
+    nonempty = starts < ptr[1:]
+    out = np.zeros(values.shape[:-1] + (starts.size,), dtype=np.int64)
+    if nonempty.any():
+        out[..., nonempty] = np.add.reduceat(
+            values, starts[nonempty], axis=-1, dtype=np.int64
+        )
     return out
 
 
@@ -82,24 +70,32 @@ def segment_fold_left(
     """Per-segment left folds ``((0.0 + x0) + x1) + ...`` of float64.
 
     Bit-identical to running ``acc = 0.0; for x in segment: acc += x``
-    per segment: iteration ``k`` adds every segment's ``k``-th element
-    to that segment's accumulator with one vectorized ``+=`` — the same
-    IEEE-754 additions the scalar loops perform, in the same order.
-    Pairwise-summing reductions (``np.add.reduce``/``reduceat``) would
-    *not* reproduce the scalar totals; this fold does.
+    per segment: the segments are laid out as the rows of one dense
+    block behind a leading ``0.0`` column and zero-padded at the end,
+    and ``np.add.accumulate`` along the rows is a sequential left fold —
+    the same IEEE-754 additions the scalar loops perform, in the same
+    order.  The padding is exact: an accumulator that starts at ``+0.0``
+    never becomes ``-0.0``, and ``acc + 0.0 == acc`` for every other
+    value.  Pairwise-summing reductions (``np.add.reduce``/``reduceat``)
+    would *not* reproduce the scalar totals; this fold does.
+
+    ``ptr`` segments the last axis of ``values``.  A stacked ``(k, n)``
+    input folds its ``k`` rows in the same pass and returns
+    ``(k, n_segments)``.
     """
-    n = ptr.size - 1
-    acc = np.zeros(n, dtype=np.float64)
-    if not values.size:
-        return acc
     lengths = ptr[1:] - ptr[:-1]
-    alive = np.flatnonzero(lengths > 0)
-    k = 0
-    while alive.size:
-        acc[alive] += values[ptr[alive] + k]
-        k += 1
-        alive = alive[lengths[alive] > k]
-    return acc
+    width = int(lengths.max(initial=0))
+    block = np.zeros(values.shape[:-1] + (lengths.size, width + 1))
+    if (lengths == width).all():
+        block[..., 1:] = values[..., ptr[0] : ptr[-1]].reshape(
+            values.shape[:-1] + (lengths.size, width)
+        )
+    else:
+        cols = np.arange(width)
+        valid = cols < lengths[:, None]
+        block[..., 1:][..., valid] = values[..., (ptr[:-1, None] + cols)[valid]]
+    folded: npt.NDArray[np.float64] = np.add.accumulate(block, axis=-1)[..., -1]
+    return folded
 
 
 class SampleBuffer:

@@ -354,18 +354,50 @@ class InvocationTrace:
             hist[self.pages[lo:hi]] += self.counts[lo:hi]
         return hist
 
-    @_DerivedView
+    def first_accesses(
+        self, page: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per access: its epoch, its page as an intp index, and whether
+        it is that page's first access.  A caller that already holds
+        ``pages`` cast to intp passes it as ``page`` to save the copy.
+
+        O(n) without a sort: every access scatters its epoch into a
+        per-page minimum with ``np.minimum.at``, and since a page occurs
+        at most once per epoch, an access is its page's first exactly
+        where its epoch is that minimum.  Epochs use the smallest unsigned
+        dtype that holds ``n_epochs`` (one byte for most traces), which
+        keeps the per-page array small and cache-resident.  Built on
+        every call, not cached.
+        """
+        n_epochs = self.n_epochs
+        dtype = np.min_scalar_type(n_epochs)
+        epoch = np.arange(n_epochs, dtype=dtype).repeat(
+            self.ptr[1:] - self.ptr[:-1]
+        )
+        if page is None:
+            page = self.pages.astype(np.intp)
+        first_epoch = np.full(self.n_pages, n_epochs, dtype=dtype)
+        np.minimum.at(first_epoch, page, epoch)
+        return epoch, page, first_epoch[page] == epoch
+
+    @property
     def first_touch(self) -> np.ndarray:
         """First touch of every distinct page, as one ``(2, U)`` int32 array.
 
         Row 0 holds the distinct pages in ascending order (the working
         set); row 1 the epoch of each page's first touch.  Residency is
-        sticky, so a page can demand-fault only there.
+        sticky, so a page can demand-fault only there.  Built from
+        :meth:`first_accesses` on every access, not cached: executing a
+        trace retains nothing beyond its columns.
         """
-        distinct, first_idx = np.unique(self.pages, return_index=True)
+        epoch, page, first = self.first_accesses()
+        # Ascending page order without a sort: scatter through the pages.
+        first_epoch = np.full(self.n_pages, -1, dtype=np.int32)
+        first_epoch[page[first]] = epoch[first]
+        distinct = np.flatnonzero(first_epoch >= 0)
         out = np.empty((2, distinct.size), dtype=np.int32)
         out[0] = distinct
-        out[1] = np.searchsorted(self.ptr, first_idx, side="right") - 1
+        out[1] = first_epoch[distinct]
         return out
 
     @property

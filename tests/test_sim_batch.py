@@ -28,12 +28,7 @@ from repro.errors import ConfigError
 from repro.memsim.bandwidth import RESOURCES, ContentionModel, TierDemand
 from repro.memsim.storage import OPTANE_SSD_SPEC
 from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
-from repro.sim.batch import (
-    SampleBuffer,
-    heap_drain_order,
-    segment_fold_left,
-    segment_sums_int,
-)
+from repro.sim.batch import SampleBuffer, segment_fold_left, segment_sums_int
 from repro.sim.contention import EventScheduler, UtilizationSample, _summarize
 from repro.sim.loop import EventLoop
 from repro.sim.resources import TokenBucket
@@ -62,29 +57,6 @@ def _with_ties(times: list[float]) -> list[float]:
 
 
 class TestDrainOrder:
-    @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=50.0, allow_nan=False), PRIORITIES), min_size=1, max_size=40))
-    @settings(max_examples=60, deadline=None)
-    def test_lexsort_matches_heap_pops(self, cohort):
-        """heap_drain_order == the coroutine loop's actual pop sequence."""
-        cohort = cohort + cohort[: len(cohort) // 2]  # exact ties
-        loop = EventLoop()
-        fired: list[int] = []
-        entries = []
-        for i, (t, prio) in enumerate(cohort):
-            entries.append(
-                loop.schedule_at(
-                    t, (lambda idx: lambda _now: fired.append(idx))(i),
-                    priority=prio,
-                )
-            )
-        loop.run()
-        order = heap_drain_order(
-            np.array([t for t, _ in cohort], dtype=np.float64),
-            np.array([p for _, p in cohort], dtype=np.int64),
-            np.array([e.seq for e in entries], dtype=np.int64),
-        )
-        assert fired == list(order)
-
     @given(TIMES)
     @settings(max_examples=60, deadline=None)
     def test_schedule_batch_matches_scalar_scheduling(self, times):
@@ -126,13 +98,6 @@ class TestDrainOrder:
         with pytest.raises(ConfigError):
             loop.schedule_batch(np.zeros((2, 2)), lambda _n: None)
         assert loop.schedule_batch([], lambda _n: None) == []
-
-    def test_heap_drain_order_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            heap_drain_order(
-                np.zeros(3), np.zeros(2, dtype=np.int64),
-                np.zeros(3, dtype=np.int64),
-            )
 
 
 # -- token bucket --------------------------------------------------------------
@@ -218,11 +183,18 @@ class TestSegmentFolds:
         ptr = np.zeros(len(segments) + 1, dtype=np.int64)
         np.cumsum([len(s) for s in segments], out=ptr[1:])
         got = segment_fold_left(values, ptr)
+        # A stacked input folds every row with the same segmentation.
+        stacked = segment_fold_left(np.stack([values, values * 0.1]), ptr)
         for i, seg in enumerate(segments):
             acc = 0.0
             for x in seg:
                 acc += x
             assert got[i] == acc
+            assert stacked[0, i] == acc
+            acc = 0.0
+            for x in seg:
+                acc += x * 0.1
+            assert stacked[1, i] == acc
 
     @given(RAGGED)
     @settings(max_examples=80, deadline=None)
@@ -233,6 +205,9 @@ class TestSegmentFolds:
         np.cumsum([len(s) for s in ints], out=ptr[1:])
         got = segment_sums_int(values, ptr)
         assert list(got) == [sum(seg) for seg in ints]
+        stacked = segment_sums_int(np.stack([values, -values]), ptr)
+        assert list(stacked[0]) == list(got)
+        assert list(stacked[1]) == [-sum(seg) for seg in ints]
 
 
 # -- contention replay ---------------------------------------------------------
@@ -417,3 +392,68 @@ def test_cohort_counters_exact_past_int32():
             t.total_accesses
         )
         assert b.counters.slow_accesses > 2**31
+
+
+@pytest.mark.parametrize("backing_kind", ["RESIDENT", "COMPRESSED_POOL"])
+def test_cohort_prices_compressed_middle_tier(backing_kind):
+    """Pages placed on an lz4 pool tier are charged at the pool's latency
+    and ratio-scaled bytes (and, when pool-backed, its per-page
+    decompress) — by the cohort exactly as by a per-trace execute."""
+    from repro.memsim.compressed import LZ4_POINT, compressed_memory_system
+    from repro.sim.batchexec import execute_cohort
+    from repro.trace.events import AccessEpoch, InvocationTrace
+    from repro.vm.microvm import Backing, MicroVM
+
+    memory = compressed_memory_system((LZ4_POINT,))
+    n_pages = 64
+    placement = np.zeros(n_pages, dtype=np.uint8)
+    placement[16:48] = 2
+    placement[48:] = 1
+    backing = np.full(n_pages, int(Backing.RESIDENT), dtype=np.uint8)
+    backing[16:48] = int(Backing[backing_kind])
+
+    def trace(shift: int) -> InvocationTrace:
+        epochs = tuple(
+            AccessEpoch(
+                0.01,
+                np.arange(shift + 8 * e, shift + 8 * e + 24),
+                np.full(24, 100 + e),
+                random_fraction=0.2,
+                store_fraction=0.1 * e,
+            )
+            for e in range(3)
+        )
+        return InvocationTrace(n_pages=n_pages, epochs=epochs, label=f"t{shift}")
+
+    template = MicroVM(
+        n_pages, memory=memory, placement=placement, backing=backing
+    )
+    traces = [trace(shift) for shift in (0, 8, 16)]
+    batch = execute_cohort(template, traces)
+    pool_bytes = memory.middle[0].access_bytes / LZ4_POINT.ratio
+    for t, b in zip(traces, batch):
+        vm = MicroVM(n_pages, memory=memory, placement=placement, backing=backing)
+        s = vm.execute(t)
+        _assert_outcomes_identical_executions(s, b)
+        tiers = placement[t.pages]
+        n_pool = int(t.counts[tiers == 2].sum())
+        n_fast = int(t.counts[tiers == 0].sum())
+        assert b.demand.fast_bytes == pytest.approx(
+            n_fast * 64 + n_pool * pool_bytes
+        )
+        if backing_kind == "COMPRESSED_POOL":
+            assert b.counters.minor_faults == np.count_nonzero(
+                placement[t.working_set] == 2
+            )
+
+
+def _assert_outcomes_identical_executions(a, b):
+    for f in dataclasses.fields(a.counters):
+        va, vb = getattr(a.counters, f.name), getattr(b.counters, f.name)
+        assert va == vb and type(va) is type(vb), f.name
+    for f in dataclasses.fields(a.demand):
+        va, vb = getattr(a.demand, f.name), getattr(b.demand, f.name)
+        assert va == vb and type(va) is type(vb), f.name
+    assert [r.duration_s for r in a.epoch_records] == [
+        r.duration_s for r in b.epoch_records
+    ]

@@ -172,7 +172,7 @@ class TestRealBudget:
         self, tiny_function, monkeypatch
     ):
         """After a batch cohort, the cache charges at least what its traces
-        really retain (columns plus the views the cohort engine built),
+        really retain (columns plus any views built),
         and still stays within its budget."""
         from repro.baselines import ReapSystem
 
@@ -186,7 +186,7 @@ class TestRealBudget:
         )
         evictions = cache.evictions
         # REAP restores fault non-WS pages in through userfaultfd, so the
-        # batch engine builds each trace's first-touch view.
+        # cohort runs the execution kernel's fault census.
         system = ReapSystem(tiny_function, 0)
         system.invoke_batch(0, list(range(8)))
         traces = list(cache._entries.values())

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import config
 from repro.errors import AddressSpaceError, ConfigError
@@ -102,6 +104,54 @@ def _first_touch_order_reference(trace):
                 seen.add(page)
                 order.append(page)
     return np.asarray(order, dtype=np.int64)
+
+
+def _first_touch_sorting_reference(trace):
+    """First touches by sorting (np.unique), as first_touch once did."""
+    distinct, first_idx = np.unique(trace.pages, return_index=True)
+    out = np.empty((2, distinct.size), dtype=np.int32)
+    out[0] = distinct
+    out[1] = np.searchsorted(trace.ptr, first_idx, side="right") - 1
+    return out
+
+
+def _assert_first_touch_matches(trace):
+    got = trace.first_touch
+    want = _first_touch_sorting_reference(trace)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+class TestFirstTouch:
+    def test_suite_traces_match_sorting_reference(self):
+        """Every input of every suite and extended-suite function."""
+        from repro.functions import EXTENDED_SUITE, SUITE
+
+        for function in SUITE + EXTENDED_SUITE:
+            for input_index in range(4):
+                _assert_first_touch_matches(function.trace(input_index, 0))
+
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=63), max_size=20),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_csr_traces_match_sorting_reference(self, n_pages, epochs):
+        pages = [sorted({p % n_pages for p in epoch}) for epoch in epochs]
+        flat = [p for epoch in pages for p in epoch]
+        trace = InvocationTrace.from_columns(
+            n_pages,
+            pages=np.asarray(flat, dtype=np.int64),
+            counts=np.ones(len(flat), dtype=np.int64),
+            ptr=np.cumsum([0, *(len(e) for e in pages)]),
+            cpu_time_s=np.full(len(pages), 0.01),
+            random_fraction=np.zeros(len(pages)),
+            store_fraction=np.zeros(len(pages)),
+        )
+        _assert_first_touch_matches(trace)
 
 
 class TestColumnarLayout:
