@@ -12,11 +12,10 @@ from the tiered snapshot.  The two snapshot variants the evaluation uses
 
 from __future__ import annotations
 
-import itertools
-
 from ..core.toss import Phase, TossConfig, TossController
 from ..errors import AnalysisError
 from ..functions.base import FunctionModel
+from ..trace import pool as trace_pool
 from .base import ServerlessSystem, SystemOutcome
 
 __all__ = ["TossSystem"]
@@ -46,11 +45,22 @@ class TossSystem(ServerlessSystem):
             root_seed=self.root_seed,
         )
         self.controller = TossController(function, memory=self.memory, cfg=cfg)
-        inputs = itertools.cycle(profiling_inputs)
-        for _ in range(max_profiling_invocations):
-            outcome = self.controller.invoke(next(inputs))
-            if outcome.analysis_generated or self.controller.phase is Phase.TIERED:
-                break
+        ctl = self.controller
+        n_inputs = len(profiling_inputs)
+        # Invocation k profiles input k mod n under seed next_seed, so the
+        # traces of the next few are known before convergence is decided.
+        with trace_pool.lookahead(
+            min_draws=trace_pool.SERIAL_MIN_DRAWS
+        ) as ahead:
+            for k in range(max_profiling_invocations):
+                ahead.expect(
+                    (function, profiling_inputs[(k + j) % n_inputs],
+                     ctl.next_seed + j, self.root_seed)
+                    for j in range(trace_pool.LOOKAHEAD_DEPTH + 1)
+                )
+                outcome = ctl.invoke(profiling_inputs[k % n_inputs])
+                if outcome.analysis_generated or ctl.phase is Phase.TIERED:
+                    break
         if self.controller.phase is not Phase.TIERED:
             raise AnalysisError(
                 f"{function.name}: profiling did not converge within "

@@ -308,6 +308,12 @@ class TossController:
         )
 
     @property
+    def next_seed(self) -> int:
+        """The invocation seed the next :meth:`invoke` or
+        :meth:`invoke_fallback` without an explicit seed runs under."""
+        return self._seq
+
+    @property
     def slow_fraction(self) -> float:
         """Current slow-tier share (0 before a tiered snapshot exists)."""
         if self.tiered_snapshot is None:

@@ -56,6 +56,10 @@ class KeepAliveCache:
         """Fast-tier memory pinned by warm VMs."""
         return sum(e.fast_mb for e in self._entries.values())
 
+    def __contains__(self, name: str) -> bool:
+        """Membership peek: touches neither the counters nor priorities."""
+        return name in self._entries
+
     @property
     def warm_functions(self) -> set[str]:
         """Functions currently kept warm."""

@@ -177,11 +177,9 @@ class Scheduler:
             key = (system.function, system.root_seed, input_index)
             cohorts.setdefault(key, []).append(seed_base + i)
         with contextlib.ExitStack() as stack:
-            # Last cohort first, so the pool's queue runs from the far end
-            # of the batch while this thread works from the front.
-            for (function, root_seed, input_index), seeds in reversed(
-                cohorts.items()
-            ):
+            # Workers take the newest key first, so they start from the far
+            # end of the batch while this thread works from the front.
+            for (function, root_seed, input_index), seeds in cohorts.items():
                 stack.enter_context(
                     function.prefetch(input_index, seeds, root_seed=root_seed)
                 )

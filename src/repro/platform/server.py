@@ -23,8 +23,10 @@ lower layers directly.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .. import config, faults as faults_mod
 from ..core.telemetry import EventKind, TelemetryEvent, TelemetryLog
@@ -35,6 +37,7 @@ from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem
 from ..obs import runtime as obs_runtime
 from ..obs.spans import SpanStatus
 from ..pricing.billing import TieredBill, bill_invocation
+from ..trace import pool as trace_pool
 from ..vm.microvm import MicroVM
 from .capacity import HostCapacity, ResidentVM
 from .keepalive import KeepAliveCache
@@ -704,8 +707,9 @@ class ServerlessPlatform:
         pending_arrivals = deque(normalized)
 
         def _next_arrival(_now: float) -> None:
-            arrival, name, input_index, req_class = pending_arrivals.popleft()
-            handle_arrival(arrival, name, input_index, req_class)
+            request = pending_arrivals.popleft()
+            ahead.expect(self._expected_traces(request, pending_arrivals))
+            handle_arrival(*request)
 
         loop.schedule_batch(
             [r[0] for r in normalized],
@@ -715,7 +719,10 @@ class ServerlessPlatform:
         )
         # Stop once the last arrival has been decided: leases that expire
         # past the batch must survive into the next serve() call.
-        loop.run_while_category("arrival")
+        with trace_pool.lookahead(
+            min_draws=trace_pool.SERIAL_MIN_DRAWS
+        ) as ahead:
+            loop.run_while_category("arrival")
         # Flush telemetry stamped past the final arrival, in time order.
         loop.drain_category("emit")
         # Micro-assert: the shared emit callback consumed its payloads in
@@ -726,6 +733,34 @@ class ServerlessPlatform:
         heapq.heapify(self._capacity_leases)
         self.log.extend(batch)
         return batch
+
+    def _expected_traces(
+        self, request: tuple, upcoming: "deque[tuple]"
+    ) -> Iterator[tuple]:
+        """Trace keys of ``request`` and the next few ``upcoming`` ones.
+
+        Each request is assumed to run after the earlier requests of its
+        deployment in the window, on its controller's next seed — or, for
+        a function kept warm, on the deployment's invocation count, as a
+        keep-alive warm start does.  A wrong guess (a shed or failed
+        request, a keep-alive entry that comes or goes) drops out of the
+        next arrival's window and is discarded.
+        """
+        offsets: dict[str, int] = {}
+        for _, name, input_index, _ in itertools.chain(
+            (request,), itertools.islice(upcoming, trace_pool.LOOKAHEAD_DEPTH)
+        ):
+            dep = self.deployments[name]
+            ctl = dep.controller
+            warm = (
+                self.keepalive is not None
+                and ctl.phase is Phase.TIERED
+                and name in self.keepalive
+            )
+            offset = offsets.get(name, 0)
+            offsets[name] = offset + 1
+            seed = (dep.invocations if warm else ctl.next_seed) + offset
+            yield dep.function, input_index, seed, ctl.cfg.root_seed
 
     # -- overload helpers --------------------------------------------------------
 
@@ -947,7 +982,9 @@ class ServerlessPlatform:
                 placement=snapshot.placement(),
                 page_versions=snapshot.base.page_versions,
             )
-            trace = dep.function.trace(input_index, dep.invocations)
+            trace = dep.function.trace(
+                input_index, dep.invocations, root_seed=ctl.cfg.root_seed
+            )
             result = vm.execute(trace)
             ctl.reprofile.observe(result.time_s)
             outcome = InvocationOutcome(

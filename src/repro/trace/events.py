@@ -79,7 +79,7 @@ def _validate_epochs(
     if pages.size:
         if pages.min() < 0:
             raise AddressSpaceError("negative page index in epoch")
-        step_ok = np.diff(pages) > 0
+        step_ok = pages[1:] > pages[:-1]
         # An epoch may restart anywhere: the step into each epoch's first
         # page is exempt from the strictly-increasing rule.
         starts = ptr[1:-1]

@@ -147,3 +147,25 @@ class TestPlatformIntegration:
         fast_mb = tiny_function.guest_mb * (1 - dep.controller.slow_fraction)
         assert cache.used_mb == pytest.approx(max(fast_mb, 1e-3), rel=1e-6)
         assert cache.used_mb < 0.3 * tiny_function.guest_mb
+
+    def test_warm_starts_use_the_controller_root_seed(
+        self, tiny_function, monkeypatch
+    ):
+        """Every trace of a keep-alive run, warm starts included, is
+        synthesised under the controller's root seed."""
+        from repro.trace import TraceCache
+        from repro.trace import cache as trace_cache
+
+        traces = TraceCache()
+        monkeypatch.setattr(trace_cache, "_SHARED", traces)
+        cache = KeepAliveCache(1024)
+        platform = ServerlessPlatform(
+            n_cores=4,
+            toss_cfg=TossConfig(convergence_window=3,
+                                min_profiling_invocations=3, root_seed=7),
+            keepalive=cache,
+        )
+        platform.deploy(tiny_function)
+        platform.serve([(0.05 * i, "tiny", i % 4) for i in range(40)])
+        assert cache.hits > 0, "keep-alive never produced a warm start"
+        assert {key[3] for key in traces._entries} == {7}

@@ -1,4 +1,5 @@
-"""Concurrent cohort trace synthesis: ``FunctionModel.prefetch`` and the pool.
+"""Trace lookahead: the synthesis pool, cohort prefetch and the serial
+paths (the profiling loop and ``serve``).
 
 Every test here swaps in its own :class:`SynthesisPool` (and usually a
 fresh trace cache), so the pooled path is exercised with real worker
@@ -10,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,12 +19,15 @@ import pytest
 from repro import faults
 from repro.baselines import DramBaseline, ReapSystem, TossSystem
 from repro.config import DEFAULT_SEED
-from repro.errors import ConfigError
+from repro.core.toss import Phase, TossConfig
+from repro.errors import ConfigError, SchedulerError
 from repro.experiments import common, fig9_scalability
 from repro.faults import FaultPlan
 from repro.functions import EXTENDED_SUITE, SUITE
 from repro.functions.base import FunctionModel
 from repro.obs import runtime as obs_runtime
+from repro.platform import KeepAliveCache, ServerlessPlatform
+from repro.platform.overload import OverloadConfig, RequestClass
 from repro.platform.scheduler import Scheduler
 from repro.trace import TraceCache
 from repro.trace import cache as trace_cache
@@ -146,10 +151,23 @@ class TestPool:
                                             DEFAULT_SEED) for s in seeds]
         assert trace_digest(pooled) == trace_digest(inline)
 
+    def test_workers_take_the_newest_key_first(self, use_pool):
+        pool = use_pool(1)
+        started = threading.Event()
+        release = threading.Event()
+        order = []
 
-def make_system(system_cls, function):
-    return system_cls(function, *((0,) if system_cls is ReapSystem else ()))
+        def blocker():
+            started.set()
+            release.wait(timeout=60)
 
+        pool.submit("blocker", blocker)
+        assert started.wait(timeout=60)
+        futures = [pool.submit(key, order.append, key) for key in "abc"]
+        release.set()
+        for future in futures:
+            future.result(timeout=60)
+        assert order == ["c", "b", "a"]
 
     def test_stress_more_workers_than_cores(self, use_pool, use_cache,
                                             tiny_function):
@@ -174,6 +192,10 @@ def make_system(system_cls, function):
         assert (pool.submitted, pool.claimed, pool.dropped) == (100, 75, 25)
         assert len(pool) == 0
         assert trace_digest(pooled) == trace_digest(inline)
+
+
+def make_system(system_cls, function):
+    return system_cls(function, *((0,) if system_cls is ReapSystem else ()))
 
 
 class TestCacheBehaviour:
@@ -365,3 +387,166 @@ def test_fig9_sweep_equal_with_pool_on_and_off(use_pool, use_cache):
     for fn in cached:
         fn.cache_clear()
     assert results[0] == results[1]
+
+
+def serving_platform(functions, **kwargs) -> ServerlessPlatform:
+    platform = ServerlessPlatform(
+        toss_cfg=TossConfig(convergence_window=3, min_profiling_invocations=3),
+        **kwargs,
+    )
+    for function in functions:
+        platform.deploy(function)
+    return platform
+
+
+def mixed_stream(names, n: int, spacing_s: float) -> list[tuple]:
+    """``n`` requests cycling through ``names`` with varied inputs."""
+    return [(spacing_s * i, names[i % len(names)], (i * 3 + i // 5) % 4)
+            for i in range(n)]
+
+
+class TestSerialLookahead:
+    """The profiling loop and ``serve`` predict their next keys; pool on
+    (two workers) and off (none) must agree bit for bit.  The test
+    functions' traces sit below the serial size floor, so it is lowered
+    to zero here."""
+
+    @pytest.fixture(autouse=True)
+    def no_size_floor(self, monkeypatch):
+        monkeypatch.setattr(trace_pool, "SERIAL_MIN_DRAWS", 0)
+
+    def test_serve_equal_with_pool_on_and_off(
+        self, use_pool, use_cache, tiny_function, memory_intensive_function
+    ):
+        functions = (tiny_function, memory_intensive_function, SUITE[1])
+        budget = 3 * tiny_function._synthesize(
+            tiny_function.input_spec(3), 3, 0, DEFAULT_SEED).nbytes
+        stream = mixed_stream([f.name for f in functions], 90, 0.02)
+        runs = []
+        for workers in (0, 2):
+            pool = use_pool(workers)
+            cache = use_cache(budget)
+            platform = serving_platform(functions, n_cores=4)
+            log = platform.serve(stream)
+            runs.append((log, cache_state(cache)))
+        assert cache.evictions > 0
+        assert {e.phase for e in log} >= {Phase.PROFILING, Phase.TIERED}
+        assert pool.submitted > 0 and len(pool) == 0
+        assert runs[0] == runs[1]
+
+    def test_toss_system_equal_with_pool_on_and_off(
+        self, use_pool, use_cache, tiny_function
+    ):
+        runs = []
+        for workers in (0, 2):
+            pool = use_pool(workers)
+            cache = use_cache()
+            system = TossSystem(tiny_function, convergence_window=3)
+            runs.append((system.tiered_snapshot.placement().tobytes(),
+                         system.slow_fraction, cache_state(cache)))
+        assert pool.claimed > 0
+        assert pool.dropped == trace_pool.LOOKAHEAD_DEPTH
+        assert pool.submitted == pool.claimed + pool.dropped
+        assert len(pool) == 0
+        assert runs[0] == runs[1]
+
+    def test_shed_free_stream_claims_every_key(
+        self, use_pool, use_cache, tiny_function, memory_intensive_function
+    ):
+        pool = use_pool(2)
+        use_cache()
+        functions = (tiny_function, memory_intensive_function)
+        log = serving_platform(functions, n_cores=2).serve(
+            mixed_stream([f.name for f in functions], 60, 0.01))
+        assert not any(e.shed or e.failed for e in log)
+        assert_all_claimed(pool)
+
+    def test_keepalive_warm_starts_are_predicted(
+        self, use_pool, use_cache, tiny_function, memory_intensive_function
+    ):
+        functions = (tiny_function, memory_intensive_function)
+        stream = mixed_stream([f.name for f in functions], 60, 0.05)
+        runs = []
+        for workers in (0, 2):
+            pool = use_pool(workers)
+            cache = use_cache()
+            keepalive = KeepAliveCache(1024)
+            log = serving_platform(functions, n_cores=2,
+                                   keepalive=keepalive).serve(stream)
+            runs.append((log, cache_state(cache)))
+        assert keepalive.hits > 0
+        assert_all_claimed(pool)
+        assert runs[0] == runs[1]
+
+    def test_shedding_stream_drops_wrong_guesses(
+        self, use_pool, use_cache, tiny_function, monkeypatch
+    ):
+        pool = use_pool(2)
+        use_cache()
+        in_flight = []
+        expect = trace_pool.Lookahead.expect
+
+        def recording_expect(self, keys):
+            submitted = expect(self, keys)
+            in_flight.append(len(pool))
+            return submitted
+
+        monkeypatch.setattr(trace_pool.Lookahead, "expect", recording_expect)
+        platform = serving_platform(
+            (tiny_function,), n_cores=1,
+            overload=OverloadConfig(max_queue_depth=1),
+        )
+        log = platform.serve([
+            (*request, RequestClass.BATCH if i % 3 else RequestClass.LATENCY)
+            for i, request in enumerate(mixed_stream(["tiny"], 80, 0.001))
+        ])
+        assert any(e.shed for e in log)
+        assert pool.dropped > 0
+        # Wrong guesses are dropped as they fall out of the window, not
+        # left in flight until the end of the stream.
+        assert max(in_flight) <= trace_pool.LOOKAHEAD_DEPTH + 1
+        assert pool.submitted == pool.claimed + pool.dropped
+        assert len(pool) == 0
+
+    def test_registry_empty_when_serve_raises(
+        self, use_pool, use_cache, tiny_function
+    ):
+        pool = use_pool(2)
+        use_cache()
+        platform = serving_platform(
+            (tiny_function,), n_cores=4, keepalive=KeepAliveCache(1024))
+        platform.serve([(0.05 * i, "tiny", 3) for i in range(20)])
+        ctl = platform.deployments["tiny"].controller
+        assert ctl.phase is Phase.TIERED
+        # A keep-alive entry that outlived its tiered snapshot.
+        ctl.tiered_snapshot = None
+        before = pool.submitted
+        with pytest.raises(SchedulerError, match="stale entry"):
+            platform.serve([(2.0 + 0.05 * i, "tiny", i % 4)
+                            for i in range(10)])
+        assert pool.submitted > before
+        assert len(pool) == 0
+        assert pool.submitted == pool.claimed + pool.dropped
+
+
+class TestSerialSizeFloor:
+    def test_lookahead_skips_traces_below_min_draws(
+        self, use_pool, use_cache, tiny_function
+    ):
+        pool = use_pool(1)
+        use_cache()
+        small, large = (tiny_function.split_draws(i) for i in (0, 3))
+        keys = [(tiny_function, i, 0, DEFAULT_SEED) for i in (0, 3)]
+        with trace_pool.lookahead(min_draws=(small + large) // 2) as ahead:
+            assert ahead.expect(keys) == keys[1:]
+        assert pool.submitted == pool.dropped == 1
+
+    def test_serial_paths_skip_small_traces(self, use_pool, use_cache,
+                                            tiny_function):
+        pool = use_pool(2)
+        use_cache()
+        assert tiny_function.split_draws(3) < trace_pool.SERIAL_MIN_DRAWS
+        TossSystem(tiny_function, convergence_window=3)
+        serving_platform((tiny_function,), n_cores=2).serve(
+            mixed_stream(["tiny"], 20, 0.05))
+        assert pool.submitted == 0
