@@ -27,7 +27,6 @@ import numpy as np
 
 from .. import config, rng as rng_mod
 from ..errors import ConfigError
-from ..obs import profile as profile_mod
 from ..trace import cache as trace_cache
 from ..trace import pool as trace_pool
 from ..trace.allocator import GuestAllocator
@@ -205,12 +204,11 @@ class FunctionModel:
         # A prefetched key is in flight on the synthesis pool: take over
         # work no worker has started, otherwise wait for the worker.
         future = trace_pool.shared_synthesis_pool().claim(cache_key)
-        with profile_mod.phase("trace/synth"):
-            if future is None or future.cancel():
-                trace = self._synthesize(spec, input_index, invocation_seed,
-                                         root_seed)
-            else:
-                trace = future.result()
+        if future is None or future.cancel():
+            trace = self._synthesize(spec, input_index, invocation_seed,
+                                     root_seed)
+        else:
+            trace = future.result()
         cache.put(cache_key, trace)
         return trace
 

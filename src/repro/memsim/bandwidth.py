@@ -39,7 +39,6 @@ import numpy.typing as npt
 
 from .. import config
 from ..errors import ConfigError
-from ..obs import profile as profile_mod
 from ..obs import runtime as obs_runtime
 from .tiers import MemorySystem
 from .storage import StorageSpec
@@ -274,39 +273,29 @@ class ContentionModel:
     ) -> tuple[list[float], dict[str, float]]:
         """Memoising front of the fixed point (LRU on the exact batch).
 
-        Returns fresh containers on hits so callers can never corrupt a
-        cached result; cached and freshly-solved outputs are bit-identical
-        because the key is the exact demand tuple.
+        A batch is looked up in this model's memo, then in the
+        process-wide one (``shared_memo=True``).  Both kinds of hit are
+        counted and observed alike, so what an observed run exports does
+        not depend on what ran earlier in the process.  Returns fresh
+        containers on hits so callers can never corrupt a cached result;
+        cached and freshly-solved outputs are bit-identical because the
+        key is the exact demand tuple.
         """
         key = tuple(demands)
         cached = self._solve_cache.get(key)
         if cached is not None:
             self._solve_cache.move_to_end(key)
-            self.solve_cache_hits += 1
-            times, inflation = cached
-            obs = obs_runtime.active()
-            if obs is not None:
-                obs.metrics.counter(
-                    "toss_contention_solve_cache_hits_total",
-                    "Contention solves answered from the memo cache",
-                ).inc()
-                gauge = obs.metrics.gauge(
-                    "toss_resource_inflation",
-                    "Converged per-resource latency inflation factor",
-                )
-                for r in RESOURCES:
-                    gauge.set(inflation[r], resource=r)
-            return list(times), dict(inflation)
+            self._count_hit(cached[1])
+            return list(cached[0]), dict(cached[1])
         shared = None
         if self._shared_key is not None:
             shared = self._SHARED_SOLVE_CACHE.get((self._shared_key, key))
         if shared is not None:
             self._SHARED_SOLVE_CACHE.move_to_end((self._shared_key, key))
-            self.solve_cache_hits += 1
+            self._count_hit(shared[1])
             times, inflation = list(shared[0]), dict(shared[1])
         else:
-            with profile_mod.phase("contention/solve"):
-                times, inflation = self._solve_uncached(demands)
+            times, inflation = self._solve_uncached(demands)
             if self._shared_key is not None:
                 self._SHARED_SOLVE_CACHE[(self._shared_key, key)] = (
                     list(times),
@@ -320,6 +309,18 @@ class ContentionModel:
         while len(self._solve_cache) > self.solve_cache_max:
             self._solve_cache.popitem(last=False)
         return times, inflation
+
+    def _count_hit(self, inflation: dict[str, float]) -> None:
+        """Count one memo hit; observed, it reports the inflation a fresh
+        solve would have set."""
+        self.solve_cache_hits += 1
+        obs = obs_runtime.active()
+        if obs is not None:
+            obs.metrics.counter(
+                "toss_contention_solve_cache_hits_total",
+                "Contention solves answered from the memo cache",
+            ).inc()
+            _set_inflation_gauge(obs, inflation)
 
     def _solve_uncached(
         self, demands: list[TierDemand]
@@ -369,12 +370,7 @@ class ContentionModel:
         inflation = dict(zip(RESOURCES, infl))
         obs = obs_runtime.active()
         if obs is not None:
-            gauge = obs.metrics.gauge(
-                "toss_resource_inflation",
-                "Converged per-resource latency inflation factor",
-            )
-            for r in RESOURCES:
-                gauge.set(inflation[r], resource=r)
+            _set_inflation_gauge(obs, inflation)
             obs.metrics.counter(
                 "toss_contention_solves_total",
                 "Contention fixed-point solves performed",
@@ -402,3 +398,14 @@ class ContentionModel:
             return {r: 1.0 for r in RESOURCES}
         _, inflation = self._solve(demands)
         return dict(inflation)
+
+
+def _set_inflation_gauge(
+    obs: obs_runtime.Observation, inflation: dict[str, float]
+) -> None:
+    gauge = obs.metrics.gauge(
+        "toss_resource_inflation",
+        "Converged per-resource latency inflation factor",
+    )
+    for r in RESOURCES:
+        gauge.set(inflation[r], resource=r)

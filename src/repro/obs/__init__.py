@@ -26,7 +26,6 @@ from .export import (
 )
 from .fleet import FleetAggregator
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profile import PhaseProfiler
 from .runtime import Observation, activate, active, deactivate, observing
 from .slo import (
     Alert,
@@ -50,7 +49,6 @@ __all__ = [
     "HostSloView",
     "MetricsRegistry",
     "Observation",
-    "PhaseProfiler",
     "SloConfig",
     "SloFeed",
     "SloTracker",

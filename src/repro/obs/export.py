@@ -13,7 +13,6 @@ import json
 import math
 from typing import Any, Iterable, Sequence
 
-from . import profile as profile_mod
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .spans import Span, SpanEvent, SpanStatus, Tracer
 
@@ -83,13 +82,6 @@ def to_perfetto(
     become thread-scoped instants (``ph: "i"``).  The result loads in
     ``chrome://tracing`` and https://ui.perfetto.dev.
     """
-    with profile_mod.phase("export/perfetto"):
-        return _to_perfetto(tracer, process_name=process_name)
-
-
-def _to_perfetto(
-    tracer: Tracer, *, process_name: str = "repro-sim"
-) -> dict[str, Any]:
     spans = _ordered(tracer.spans)
     lane_of = _assign_lanes(spans)
     events: list[dict[str, Any]] = [
@@ -161,11 +153,6 @@ def perfetto_json(tracer: Tracer, *, process_name: str = "repro-sim") -> str:
 def spans_to_jsonl(tracer: Tracer) -> str:
     """One span per line, in ``(start_s, span_id)`` order; round-trips
     through :func:`spans_from_jsonl` to equal spans."""
-    with profile_mod.phase("export/jsonl"):
-        return _spans_to_jsonl(tracer)
-
-
-def _spans_to_jsonl(tracer: Tracer) -> str:
     lines: list[str] = []
     for span in _ordered(tracer.spans):
         lines.append(
@@ -263,13 +250,6 @@ def prometheus_text(
     ``histogram_quantile`` — pre-digested latency summaries that need no
     query layer.
     """
-    with profile_mod.phase("export/prometheus"):
-        return _prometheus_text(registry, quantiles=quantiles)
-
-
-def _prometheus_text(
-    registry: MetricsRegistry, *, quantiles: tuple[float, ...]
-) -> str:
     lines: list[str] = []
     for family in registry.families():
         if isinstance(family, Counter):

@@ -29,7 +29,6 @@ import numpy as np
 
 from .. import config
 from ..errors import ProfilingError
-from ..obs import profile as profile_mod
 from ..regions import Region
 from ..vm.microvm import EpochRecord
 
@@ -159,12 +158,6 @@ class DamonProfiler:
         Each epoch is treated as one aggregation window; region adaptation
         (merge then split) runs after every window, as in the kernel.
         """
-        with profile_mod.phase("profiling/damon"):
-            return self._profile(epochs)
-
-    def _profile(
-        self, epochs: tuple[EpochRecord, ...] | list[EpochRecord]
-    ) -> DamonSnapshot:
         if not epochs:
             raise ProfilingError("cannot profile an empty invocation")
         total = np.zeros(self.n_pages, dtype=np.float64)

@@ -48,7 +48,6 @@ from ..memsim.accounting import PerfCounters
 from ..memsim.bandwidth import TierDemand
 from ..memsim.page_cache import HostPageCache
 from ..memsim.tiers import MemorySystem, Tier, TierSpec
-from ..obs import profile as profile_mod
 from ..obs import runtime as obs_runtime
 from .batch import segment_fold_left, segment_sums_int
 
@@ -93,10 +92,9 @@ def execute_cohort(
     execute).  A VM with a host page cache is rejected: the cache's
     readahead state carries from one invocation to the next.
     """
-    with profile_mod.phase("sim/execute_cohort"):
-        if vm.page_cache is not None:
-            raise VMError("batch execution cannot model the host page cache")
-        return _execute_columns(vm, traces, vm._resident.copy(), None, None)
+    if vm.page_cache is not None:
+        raise VMError("batch execution cannot model the host page cache")
+    return _execute_columns(vm, traces, vm._resident.copy(), None, None)
 
 
 def _joined(columns: list[npt.NDArray[Any]]) -> npt.NDArray[Any]:

@@ -129,3 +129,50 @@ class TestContention:
             model(damping=0.0)
         with pytest.raises(ConfigError):
             model(uffd_capacity_ops=0.0)
+
+
+class TestObservedMemoHits:
+    """Both memo tiers report a hit the same way when observed."""
+
+    @staticmethod
+    def _observed_fig9_prom() -> list[str]:
+        from repro.experiments import fig9_scalability
+        from repro.obs import observing, prometheus_text
+
+        with observing() as obs:
+            fig9_scalability.run(
+                function_names=["pyaes"], concurrency_levels=(10,), n_cores=10
+            )
+        return prometheus_text(obs.metrics).splitlines()
+
+    def test_repeat_run_exports_the_same_inflation(self):
+        # The second run's schedulers build fresh models; their solves hit
+        # the process-wide memo the first run filled.
+        first = self._observed_fig9_prom()
+        second = self._observed_fig9_prom()
+
+        def gauge(lines):
+            return [ln for ln in lines if ln.startswith("toss_resource_inflation{")]
+
+        assert len(gauge(first)) == 5
+        assert gauge(second) == gauge(first)
+        hits = [
+            float(ln.split()[-1])
+            for ln in second
+            if ln.startswith("toss_contention_solve_cache_hits_total")
+        ]
+        assert hits and hits[0] > 0
+
+    def test_shared_memo_hit_is_observed(self):
+        from repro.obs import observing
+
+        batch = [TierDemand(cpu_time_s=0.01, slow_read_ops=5e5)] * 20
+        model(shared_memo=True).contended_times(batch)
+        fresh = model(shared_memo=True)
+        with observing() as obs:
+            fresh.contended_times(batch)
+        assert fresh.solve_cache_hits == 1
+        hits = obs.metrics.get("toss_contention_solve_cache_hits_total")
+        gauge = obs.metrics.get("toss_resource_inflation")
+        assert hits is not None and hits.values[()] == 1
+        assert gauge is not None and len(gauge.values) == 5
