@@ -328,12 +328,6 @@ class SignalSpec:
             raise ConfigError("anomaly warmup must be >= 2")
 
 
-@dataclass(frozen=True)
-class _ScopeKey:
-    signal: str
-    host: str
-
-
 class SloTracker(SloFeed):
     """The streaming SLO engine: one fleet-wide burn evaluator, one per
     host label that appears in the feed, and an EWMA anomaly detector

@@ -776,14 +776,6 @@ class ServerlessPlatform:
         fast = max(guest * (1.0 - sf), 1e-3)
         return ResidentVM(f"{dep.function.name}@{seq}", fast, guest * sf)
 
-    def _release_capacity(self, now_s: float) -> None:
-        """Release host capacity leased by VMs that finished by ``now_s``."""
-        if self.capacity is None:
-            return
-        while self._capacity_leases and self._capacity_leases[0][0] <= now_s:
-            _, lease_name = heapq.heappop(self._capacity_leases)
-            self.capacity.release(lease_name)
-
     def _apply_ladder_effects(self, ov: OverloadPolicy) -> None:
         """Enforce the current health state on prewarm and keep-alive."""
         state = ov.ladder.state
